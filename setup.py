@@ -1,56 +1,12 @@
-"""Setup shim + optional C extension build.
+"""Setup shim for offline editable installs.
 
-Two jobs:
-
-1. The build box used for this reproduction has no ``wheel`` package
-   available offline, so PEP-660 editable installs fail; this shim lets
-   ``pip install -e . --no-build-isolation`` fall back to
-   ``setup.py develop``.  All metadata lives in ``pyproject.toml``.
-2. Build the *optional* C simulator core ``repro.des._despeed`` (the
-   ``compiled`` backend).  The package must work without it — any build
-   failure (no compiler, no headers) downgrades to a warning and the
-   pure-Python backends carry on.  Build it in place with::
-
-       python setup.py build_ext --inplace
+The build box used for this reproduction has no ``wheel`` package
+available offline, so PEP-660 editable installs fail; this shim lets
+``pip install -e . --no-build-isolation`` fall back to
+``setup.py develop``.  All metadata lives in ``pyproject.toml``; the
+package is pure Python and has nothing to compile.
 """
 
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
+from setuptools import setup
 
-
-class OptionalBuildExt(build_ext):
-    """Swallow extension build failures: the C core is an accelerator,
-    not a requirement."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # pragma: no cover - compiler-dependent
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # pragma: no cover - compiler-dependent
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            "WARNING: building the optional repro.des._despeed extension "
-            f"failed ({exc!r}); the 'compiled' simulator backend will be "
-            "unavailable and backend='auto' falls back to 'lowered'."
-        )
-
-
-setup(
-    ext_modules=[
-        Extension(
-            "repro.des._despeed",
-            sources=["src/repro/des/_despeed.c"],
-            optional=True,
-            extra_compile_args=["-O2"],
-        )
-    ],
-    cmdclass={"build_ext": OptionalBuildExt},
-)
+setup()

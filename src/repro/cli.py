@@ -36,6 +36,7 @@ from repro import (
     SequentialSTAP,
 )
 from repro.core.timeline import render_timeline
+from repro.des.backends import BACKEND_NAMES
 from repro.scheduling import (
     AnalyticPipelineModel,
     optimize_latency,
@@ -376,6 +377,9 @@ def cmd_sweep(args) -> int:
 
 _PARAM_PRESETS = ("paper", "small", "tiny")
 
+#: Accepted ``--backend`` values: every engine, plus ``auto``.
+BACKEND_CHOICES = BACKEND_NAMES + ("auto",)
+
 
 def _preset_params(name: str):
     return getattr(STAPParams, name)()
@@ -444,12 +448,12 @@ def cmd_campaign_status(args) -> int:
 
 
 def cmd_campaign_resume(args) -> int:
-    from repro.errors import ExecutionError
+    from repro.errors import ConfigurationError, ExecutionError
     from repro.exec import load_campaign
 
     try:
         campaign = load_campaign(args.dir)
-    except ExecutionError as error:
+    except (ConfigurationError, ExecutionError) as error:
         print(error, file=sys.stderr)
         return 2
     return _campaign_execute(campaign, args)
@@ -483,11 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--perf", action="store_true",
                         help="report the simulator's own wall-clock cost")
     p_case.add_argument("--backend",
-                        choices=("python", "lowered", "compiled", "auto"),
+                        choices=BACKEND_CHOICES,
                         default=None,
                         help="simulator core (default: the reference "
-                             "python engine; 'auto' picks the fastest "
-                             "available)")
+                             "python engine; 'auto' picks the fast "
+                             "lowered engine)")
     p_case.add_argument("--profile", action="store_true",
                         help="re-run the case under cProfile and print "
                              "the hottest functions")
@@ -544,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--sim-rounds", type=int, default=2,
                         help="refinement rounds around the measured winners")
     p_tune.add_argument("--backend",
-                        choices=("python", "lowered", "compiled", "auto"),
+                        choices=BACKEND_CHOICES,
                         default=None,
                         help="simulator core for refinement runs")
     p_tune.add_argument("--campaign-dir", metavar="PATH", default=None,
@@ -607,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--no-cache", action="store_true",
                       help="disable the result cache entirely")
     p_sw.add_argument("--backend",
-                      choices=("python", "lowered", "compiled", "auto"),
+                      choices=BACKEND_CHOICES,
                       default=None,
                       help="simulator core for every point of the sweep")
     p_sw.add_argument("--dashboard", action="store_true",
@@ -658,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--params", choices=_PARAM_PRESETS, default="paper",
                       help="STAP parameter preset for every point")
     p_cr.add_argument("--backend",
-                      choices=("python", "lowered", "compiled", "auto"),
+                      choices=BACKEND_CHOICES,
                       default=None,
                       help="simulator core for every point")
     _add_campaign_exec_flags(p_cr)

@@ -117,9 +117,9 @@ class STAPPipeline:
 
         ``backend``: simulator core (see :mod:`repro.des.backends`):
         ``"python"`` (reference, the default), ``"lowered"`` (plan-lowered
-        hot path), ``"compiled"`` (C extension; errors if not built), or
-        ``"auto"`` (fastest available).  All backends produce bit-identical
-        results; the resolved name is available as ``self.backend``."""
+        hot path), or ``"auto"`` (the fast engine, ``lowered``).  Both
+        backends produce bit-identical results; the resolved name is
+        available as ``self.backend``."""
         if mode not in ("modeled", "functional"):
             raise ConfigurationError(f"mode must be 'modeled' or 'functional', got {mode!r}")
         if num_cpis < 1:

@@ -1,23 +1,19 @@
 """Runtime-selectable simulator cores.
 
-Three backends run the same simulation with the same bit-exact results:
+Two backends run the same simulation with the same bit-exact results:
 
 ``python``
     The reference engine (:class:`~repro.des.engine.Simulator` plus
-    :class:`~repro.machine.network.Network`) — always available, the
-    semantics oracle every other backend is pinned against.
+    :class:`~repro.machine.network.Network`) — the semantics oracle the
+    other backend is pinned against.
 ``lowered``
     Pure-Python, plan-lowered hot path: transfers become pooled slot
     records driven by :class:`EnginePlan` tables, the matcher packs its
-    keys into integers.  Always available.
-``compiled``
-    The same plan run natively by the optional C extension
-    ``repro.des._despeed`` (built via ``setup.py build_ext``; gracefully
-    absent when no compiler was around at install time).
+    keys into integers.
 
-``auto`` resolves to the fastest available backend (compiled, else
-lowered).  Selection flows down from :class:`~repro.core.pipeline.STAPPipeline`
-and :class:`~repro.exec.SimPoint`; result-cache keys include the resolved
+``auto`` resolves to ``lowered`` on every host.  Selection flows down from
+:class:`~repro.core.pipeline.STAPPipeline` and
+:class:`~repro.exec.SimPoint`; result-cache keys include the resolved
 backend identity and :data:`ENGINE_SCHEMA` so results from different cores
 are never conflated.
 """
@@ -36,74 +32,47 @@ from repro.errors import ConfigurationError
 ENGINE_SCHEMA = 1
 
 #: Names accepted by ``resolve_backend`` (besides ``auto`` and None).
-BACKEND_NAMES = ("python", "lowered", "compiled")
-
-_COMPILED_CORE = None
-_COMPILED_CHECKED = False
-
-
-def _compiled_core():
-    """The C extension module, or None when it is not built/importable."""
-    global _COMPILED_CORE, _COMPILED_CHECKED
-    if not _COMPILED_CHECKED:
-        _COMPILED_CHECKED = True
-        try:
-            from repro.des import _despeed  # noqa: F401 - optional extension
-
-            _COMPILED_CORE = _despeed
-        except ImportError:
-            _COMPILED_CORE = None
-    return _COMPILED_CORE
+BACKEND_NAMES = ("python", "lowered")
 
 
 def compiled_available() -> bool:
-    """True when the optional C extension imported successfully."""
-    return _compiled_core() is not None
+    """Always False: the C simulator core was removed.  Kept because the
+    benchmark harness records it as a host fact."""
+    return False
 
 
 def available_backends() -> tuple[str, ...]:
     """Backends usable in this process, reference first."""
-    names = ["python", "lowered"]
-    if compiled_available():
-        names.append("compiled")
-    return tuple(names)
+    return BACKEND_NAMES
 
 
 def resolve_backend(name: str | None) -> str:
-    """Map a requested backend name onto a concrete, available one.
+    """Map a requested backend name onto a concrete one.
 
     ``None`` keeps the reference engine (full backward compatibility);
-    ``auto`` picks the fastest available core, silently falling back from
-    compiled to lowered when the extension is absent.  Asking for
-    ``compiled`` explicitly when it is unavailable is an error — an
-    explicit request must not silently run 3x slower.
+    ``auto`` picks the fast engine, ``lowered``.  Any other name — a
+    stale ``compiled`` request included — is a
+    :class:`~repro.errors.ConfigurationError`.
     """
     if name is None:
         return "python"
     if name == "auto":
-        return "compiled" if compiled_available() else "lowered"
+        return "lowered"
     if name not in BACKEND_NAMES:
         raise ConfigurationError(
             f"unknown simulator backend {name!r}; "
             f"expected one of {BACKEND_NAMES + ('auto',)}"
         )
-    if name == "compiled" and not compiled_available():
-        raise ConfigurationError(
-            "the compiled simulator backend is not available "
-            "(repro.des._despeed failed to import; build it with "
-            "'python setup.py build_ext --inplace' or use backend='auto' "
-            "to fall back automatically)"
-        )
     return name
 
 
 class EngineBackend:
-    """The reference (pure Python) backend; base class for the others."""
+    """The reference (pure Python) backend; base class for the other."""
 
     name = "python"
 
-    def create_simulator(self, trace: bool = False) -> Simulator:
-        return Simulator(trace=trace)
+    def create_simulator(self) -> Simulator:
+        return Simulator()
 
     def build_plan(self, mesh, cost, contention) -> EnginePlan | None:
         """Per-run lowered tables; the reference backend needs none."""
@@ -118,36 +87,19 @@ class EngineBackend:
 class LoweredBackend(EngineBackend):
     name = "lowered"
 
-    def create_simulator(self, trace: bool = False) -> Simulator:
-        return LoweredSimulator(trace=trace)
+    def create_simulator(self) -> Simulator:
+        return LoweredSimulator()
 
     def build_plan(self, mesh, cost, contention) -> EnginePlan:
-        return EnginePlan.build(mesh, cost, contention, backend=self.name)
+        return EnginePlan.build(mesh, cost, contention)
 
     def create_network(self, sim, mesh, cost, contention, plan):
         return LoweredNetwork(sim, mesh, cost, contention=contention, plan=plan)
 
 
-class CompiledBackend(LoweredBackend):
-    """Native core: same plan, same schedule, C event loop and records."""
-
-    name = "compiled"
-
-    def create_simulator(self, trace: bool = False) -> Simulator:
-        from repro.des.backends.compiled import CompiledSimulator
-
-        return CompiledSimulator(trace=trace)
-
-    def create_network(self, sim, mesh, cost, contention, plan):
-        from repro.des.backends.compiled import CompiledNetwork
-
-        return CompiledNetwork(sim, mesh, cost, contention=contention, plan=plan)
-
-
 _BACKENDS = {
     "python": EngineBackend,
     "lowered": LoweredBackend,
-    "compiled": CompiledBackend,
 }
 
 
@@ -171,7 +123,6 @@ __all__ = [
     "EnginePlan",
     "EngineBackend",
     "LoweredBackend",
-    "CompiledBackend",
     "LoweredSimulator",
     "LoweredNetwork",
     "TAG_BITS",

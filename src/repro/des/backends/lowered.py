@@ -32,10 +32,9 @@ reference ``Resource`` would have scheduled the grant.  Timestamps,
 event order, and every counter therefore match the reference bit for bit;
 the golden and hypothesis backend tests enforce this.
 
-Fallbacks: the LINKS contention mode, attached observability sinks, and an
-engine-level tracer all use the inherited reference transfer path (on the
-lowered engine the two paths schedule identically, so mixing modes across
-runs stays bit-identical).
+Fallbacks: the LINKS contention mode and attached observability sinks use
+the inherited reference transfer path (on the lowered engine the two paths
+schedule identically, so mixing modes across runs stays bit-identical).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from __future__ import annotations
 import heapq
 from heapq import heappop, heappush
 
-from repro.des.engine import Simulator
+from repro.des.engine import _POOL_MAX, Simulator
 from repro.des.event import Event, PROCESSED
 from repro.errors import MachineError
 from repro.machine.network import ContentionMode, Network
@@ -67,9 +66,7 @@ class _Transfer:
     """One in-flight transfer: a pooled array-of-struct slot record.
 
     Instances are heap payloads; the loop recognizes them by exact class
-    and calls ``step`` instead of running Event callbacks.  ``name`` and
-    ``callbacks`` exist only so a defensively-attached tracer or diagnostic
-    does not crash on one.
+    and calls ``step`` instead of running Event callbacks.
     """
 
     __slots__ = (
@@ -83,9 +80,6 @@ class _Transfer:
         "pending",
         "recv",
     )
-
-    name = "xfer[slot]"
-    callbacks = ()
 
     def __init__(self, step):
         self.step = step
@@ -110,8 +104,8 @@ class LoweredSimulator(Simulator):
     #: (the reference loop would crash trying to run Event callbacks on one).
     handles_slot_records = True
 
-    def __init__(self, trace: bool = False):
-        super().__init__(trace=trace)
+    def __init__(self):
+        super().__init__()
         #: Lowered networks bound to this engine.  With exactly one, the
         #: fast loop inlines its transfer state machine; with several (or
         #: none) records go through bound-method dispatch.
@@ -160,7 +154,7 @@ class LoweredSimulator(Simulator):
                 processed += 1
                 if event._ok is False and not event.defused:
                     raise event._value
-                if event._pooled and len(pool) < 1024:
+                if event._pooled and len(pool) < _POOL_MAX:
                     pool.append(event)
         finally:
             self.events_processed += processed
@@ -276,7 +270,7 @@ class LoweredSimulator(Simulator):
                 processed += 1
                 if event._ok is False and not event.defused:
                     raise event._value
-                if event._pooled and len(pool) < 1024:
+                if event._pooled and len(pool) < _POOL_MAX:
                     pool.append(event)
             self._seq = seq
         except BaseException:
@@ -287,38 +281,12 @@ class LoweredSimulator(Simulator):
         self.events_processed += processed
         return True
 
-    def _run_traced(self, stop_event, stop_time) -> bool:
-        # A tracer-on run never sees slot records (the network lowers only
-        # tracerless runs), but handle them defensively so a tracer
-        # attached mid-run degrades to recorded slots, not a crash.
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
-                return True
-            if stop_time is not None and self._queue[0][0] > stop_time:
-                self._now = stop_time
-                return False
-            time, _priority, _seq, event = heapq.heappop(self._queue)
-            self._now = time
-            self.tracer.record(time, event)
-            if event.__class__ is _Transfer:
-                event.step(event)
-                self.events_processed += 1
-                continue
-            callbacks, event.callbacks = event.callbacks, []
-            event._state = PROCESSED
-            for callback in callbacks:
-                callback(event)
-            self.events_processed += 1
-            if event._ok is False and not event.defused:
-                raise event._value
-        return True
-
 
 class LoweredNetwork(Network):
     """Plan-driven network scheduler (NONE and ENDPOINT contention).
 
     Transfers run as slot records off :class:`EnginePlan` tables; the LINKS
-    mode, observability, and traced runs inherit the reference path.
+    mode and observability inherit the reference path.
     """
 
     def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
@@ -328,7 +296,6 @@ class LoweredNetwork(Network):
         self._lowered_on = (
             plan is not None
             and self.contention in (ContentionMode.NONE, ContentionMode.ENDPOINT)
-            and sim.tracer is None
             and getattr(sim, "handles_slot_records", False)
         )
         if self._lowered_on:

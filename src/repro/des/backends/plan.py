@@ -1,10 +1,10 @@
 """EnginePlan: per-run lowered tables for the simulator hot path.
 
-The lowered and compiled backends follow the PyOP2 pattern: everything the
-hot loop would otherwise recompute per event — mesh hop distances, wormhole
-header latencies, port identities, match-key encodings — is computed *once*
-per run into preallocated numpy tables, and the event loop then runs off
-plain array indexing (Python backend) or raw buffer reads (C backend).
+The lowered backend follows the PyOP2 pattern: everything the hot loop
+would otherwise recompute per event — mesh hop distances, wormhole header
+latencies, port identities, match-key encodings — is computed *once* per
+run into preallocated numpy tables, and the event loop then runs off plain
+array indexing.
 
 The plan mirrors :class:`repro.stap.plan.KernelPlan` one layer down: where
 the kernel plan captures CPI-invariant numeric factors, the engine plan
@@ -45,7 +45,6 @@ class EnginePlan:
     backend; shared read-only by the network scheduler and the matcher.
     """
 
-    backend: str
     contention: ContentionMode
     num_nodes: int
     #: Ports are numbered ``eject(node) = 2*node``, ``inject(node) = 2*node+1``
@@ -61,8 +60,6 @@ class EnginePlan:
     per_hop_s: float
     #: Wall-clock seconds spent building the tables (reported by perf).
     build_seconds: float = 0.0
-    #: Whether the matcher should pack (context, dst, src, tag) into ints.
-    pack_match_keys: bool = True
     #: Memo of per-size port occupancy times (nbytes -> seconds), shared by
     #: the network so repeated message sizes cost one dict probe.
     occupancy_memo: dict = field(default_factory=dict)
@@ -73,7 +70,6 @@ class EnginePlan:
         mesh: Mesh2D,
         cost: NetworkCostModel,
         contention: ContentionMode | str = ContentionMode.ENDPOINT,
-        backend: str = "lowered",
     ) -> "EnginePlan":
         """Flatten mesh topology and cost model into dense tables.
 
@@ -94,7 +90,6 @@ class EnginePlan:
         # one float64 multiply and one add per element, no reassociation.
         header = cost.startup_s + cost.per_hop_s * hops.astype(np.float64)
         return cls(
-            backend=backend,
             contention=contention,
             num_nodes=n,
             num_ports=2 * n,
@@ -105,12 +100,3 @@ class EnginePlan:
             per_hop_s=cost.per_hop_s,
             build_seconds=time.perf_counter() - t0,
         )
-
-    # -- port numbering (shared by Python and C state machines) ----------------
-    @staticmethod
-    def eject_port(node: int) -> int:
-        return 2 * node
-
-    @staticmethod
-    def inject_port(node: int) -> int:
-        return 2 * node + 1

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.core.assignment import Assignment
 from repro.core.metrics import PipelineMetrics, TaskMetrics
+from repro.des.backends import resolve_backend
 from repro.errors import ConfigurationError
 from repro.machine import Machine
 from repro.radar.parameters import STAPParams
@@ -57,7 +58,7 @@ class SimPoint:
     collect_training: bool = True
     measured: bool = False
     #: Simulator backend (``None`` = reference engine, or one of
-    #: ``python`` / ``lowered`` / ``compiled`` / ``auto``).  The *resolved*
+    #: ``python`` / ``lowered`` / ``auto``).  The *resolved*
     #: identity goes into the cache key, so an ``auto`` point hashes to
     #: whichever core it actually runs on.
     backend: Optional[str] = None
@@ -74,11 +75,7 @@ class SimPoint:
             raise ConfigurationError(
                 f"the executor supports modes {self.MODES}, got {self.mode!r}"
             )
-        if self.backend not in (None, "auto", "python", "lowered", "compiled"):
-            raise ConfigurationError(
-                f"unknown simulator backend {self.backend!r}; expected one of "
-                "('python', 'lowered', 'compiled', 'auto')"
-            )
+        resolve_backend(self.backend)  # ConfigurationError on unknown names
         if self.mode == "rt" and self.measured:
             raise ConfigurationError(
                 "rt points are always measured for real; drop measured=True"

@@ -140,9 +140,7 @@ class World:
         self._send_keys: dict = {}
         self._recvs_exact: dict = {}
         self._recvs_wild: dict = {}
-        self._packed = (
-            self.engine_plan is not None and self.engine_plan.pack_match_keys
-        )
+        self._packed = self.engine_plan is not None
         #: Matching-probe counter: queue entries examined while matching
         #: (the figure the indexed fast path drives toward ~1 per message).
         self.match_probes = 0

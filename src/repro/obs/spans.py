@@ -161,7 +161,7 @@ class TraceSink:
     :class:`~repro.des.Simulator` by :meth:`bind`).  Buffers are bounded
     when ``max_spans`` / ``max_messages`` / ``max_link_intervals`` are
     given: overflow is counted in the ``dropped_*`` attributes instead of
-    growing without limit, mirroring the DES tracer's bounded mode.
+    growing without limit.
     """
 
     def __init__(

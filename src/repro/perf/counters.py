@@ -140,7 +140,7 @@ class PerfReport:
     wildcard_hits: int = 0
     network_messages: int = 0
     network_bytes: int = 0
-    #: Which simulator core ran (``python`` / ``lowered`` / ``compiled``).
+    #: Which simulator core ran (``python`` / ``lowered``).
     backend: str = ""
     #: Wall seconds spent building the backend's :class:`EnginePlan`
     #: tables before the run (zero for the reference engine).

@@ -1,15 +1,17 @@
 """Backend registry, plan lowering, and cross-backend bit-identity.
 
-The whole value of the lowered/compiled simulator cores rests on one
-contract: they change *nothing* about the simulated behaviour — not one
-timestamp, not one detection.  These tests pin that contract three ways:
+The whole value of the lowered simulator core rests on one contract: it
+changes *nothing* about the simulated behaviour — not one timestamp, not
+one detection.  These tests pin that contract three ways:
 
-* registry/resolution semantics (``auto`` fallback, explicit-``compiled``
-  error when the extension is absent, SimPoint validation);
+* registry/resolution semantics (``auto`` resolution, the named error for
+  stale ``compiled`` requests, SimPoint and CLI validation);
 * :class:`~repro.des.backends.plan.EnginePlan` tables equal the reference
   cost model value-for-value (same IEEE-754 operations, no reassociation);
 * golden Table 7 case 1 and a hypothesis property over randomized traffic
-  patterns, compared repr-exact across every available backend.
+  patterns, compared repr-exact across every backend in
+  :data:`~repro.des.backends.BACKEND_NAMES` (a constant, so no engine
+  can drop out of coverage on some host).
 
 Cache-key coverage lives here too: results from different engine cores
 must never be conflated by :mod:`repro.exec.cache`.
@@ -17,13 +19,13 @@ must never be conflated by :mod:`repro.exec.cache`.
 
 from __future__ import annotations
 
+import argparse
 import math
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.des.backends as backends_mod
 from repro import (
     Assignment,
     CPIStream,
@@ -37,7 +39,6 @@ from repro.des import Simulator
 from repro.des.backends import (
     BACKEND_NAMES,
     ENGINE_SCHEMA,
-    CompiledBackend,
     EngineBackend,
     EnginePlan,
     LoweredBackend,
@@ -55,20 +56,8 @@ from repro.mpi import ANY_SOURCE, ANY_TAG, World
 
 pytestmark = pytest.mark.backends
 
-needs_compiled = pytest.mark.skipif(
-    not compiled_available(),
-    reason="optional repro.des._despeed extension not built",
-)
-
-#: Every backend this process can actually run (used to parametrize the
-#: identity tests so they cover the compiled core exactly when present).
-ALL_BACKENDS = available_backends()
-
-
-def _no_compiled(monkeypatch):
-    """Make the process look like the C extension never built."""
-    monkeypatch.setattr(backends_mod, "_COMPILED_CORE", None)
-    monkeypatch.setattr(backends_mod, "_COMPILED_CHECKED", True)
+#: Every engine except the reference one, each pinned against it.
+FAST_BACKENDS = [name for name in BACKEND_NAMES if name != "python"]
 
 
 # -- registry and resolution ---------------------------------------------------------
@@ -77,7 +66,7 @@ class TestResolution:
         assert resolve_backend(None) == "python"
         assert get_backend(None).name == "python"
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES[:2])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_concrete_names_resolve_to_themselves(self, name):
         assert resolve_backend(name) == name
 
@@ -85,22 +74,22 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
             resolve_backend("fortran")
 
-    def test_auto_prefers_compiled_when_available(self):
-        expected = "compiled" if compiled_available() else "lowered"
-        assert resolve_backend("auto") == expected
-
-    def test_auto_falls_back_to_lowered_without_the_extension(self, monkeypatch):
-        _no_compiled(monkeypatch)
+    def test_auto_falls_back_to_lowered_without_the_extension(self):
+        # The C extension is gone, so this holds on every host.
         assert resolve_backend("auto") == "lowered"
-        assert available_backends() == ("python", "lowered")
+        assert available_backends() == BACKEND_NAMES == ("python", "lowered")
+        assert compiled_available() is False
 
-    def test_explicit_compiled_errors_without_the_extension(self, monkeypatch):
-        # An explicit request must not silently run on a slower core.
-        _no_compiled(monkeypatch)
-        with pytest.raises(ConfigurationError, match="not available"):
+    def test_explicit_compiled_errors_without_the_extension(self):
+        # The C core is gone: a stale request is a named error that names
+        # the value and lists the accepted names, never a silent fallback.
+        accepted = r"\('python', 'lowered', 'auto'\)"
+        with pytest.raises(ConfigurationError, match=rf"'compiled'.*{accepted}"):
             resolve_backend("compiled")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=rf"'compiled'.*{accepted}"):
             get_backend("compiled")
+        with pytest.raises(ConfigurationError, match=rf"'compiled'.*{accepted}"):
+            SimPoint(STAPParams.small(), CASE3, backend="compiled")
 
     def test_backend_classes_and_simulator_tags(self):
         assert isinstance(get_backend("python"), EngineBackend)
@@ -108,15 +97,35 @@ class TestResolution:
         assert get_backend("python").create_simulator().backend == "python"
         assert get_backend("lowered").create_simulator().backend == "lowered"
 
-    @needs_compiled
-    def test_compiled_backend_class_and_tag(self):
-        backend = get_backend("compiled")
-        assert isinstance(backend, CompiledBackend)
-        assert backend.create_simulator().backend == "compiled"
-
     def test_simpoint_validates_backend_names(self):
         with pytest.raises(ConfigurationError, match="unknown simulator backend"):
             SimPoint(STAPParams.small(), CASE3, backend="fortran")
+
+    def test_cli_and_simpoint_accept_exactly_the_engine_names(self):
+        from repro.cli import build_parser
+
+        expected = BACKEND_NAMES + ("auto",)
+
+        def backend_choices(parser):
+            for action in parser._actions:
+                if "--backend" in action.option_strings:
+                    yield tuple(action.choices)
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from backend_choices(sub)
+
+        found = list(backend_choices(build_parser()))
+        # case, tune, sweep and campaign run each take --backend.
+        assert found == [expected] * 4
+
+        accepted = []
+        for name in expected + ("compiled", "fortran"):
+            try:
+                SimPoint(STAPParams.small(), CASE3, backend=name)
+            except ConfigurationError:
+                continue
+            accepted.append(name)
+        assert tuple(accepted) == expected
 
 
 # -- EnginePlan tables ---------------------------------------------------------------
@@ -134,8 +143,6 @@ class TestEnginePlan:
         assert plan.num_nodes == n
         assert plan.num_ports == 2 * n
         assert plan.hops.shape == plan.header_s.shape == (n, n)
-        assert EnginePlan.eject_port(7) == 14
-        assert EnginePlan.inject_port(7) == 15
 
     def test_hops_match_mesh_hop_distance(self, plan, machine):
         mesh = machine.mesh
@@ -202,10 +209,7 @@ class TestGoldenCase1:
     def reference(self):
         return _run_case1(None)
 
-    @pytest.mark.parametrize(
-        "backend",
-        [name for name in ALL_BACKENDS if name != "python"],
-    )
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_bit_identical_to_reference(self, reference, backend):
         result = _run_case1(backend)
         assert repr(result.makespan) == repr(reference.makespan)
@@ -247,10 +251,7 @@ class TestFunctionalParity:
             backend=backend,
         ).run()
 
-    @pytest.mark.parametrize(
-        "backend",
-        [name for name in ALL_BACKENDS if name != "python"],
-    )
+    @pytest.mark.parametrize("backend", FAST_BACKENDS)
     def test_detections_and_reports_identical(self, backend):
         reference = self._run(None)
         result = self._run(backend)
@@ -354,9 +355,7 @@ class TestBackendEquivalence:
         reference = _run_traffic(
             "python", num_ranks, messages, contention, use_wildcard
         )
-        for backend in ALL_BACKENDS:
-            if backend == "python":
-                continue
+        for backend in FAST_BACKENDS:
             got = _run_traffic(
                 backend, num_ranks, messages, contention, use_wildcard
             )
@@ -375,20 +374,33 @@ class TestCacheIdentity:
             "engine_schema": ENGINE_SCHEMA,
         }
         assert engine_fingerprint("lowered")["backend"] == "lowered"
-        auto = engine_fingerprint("auto")["backend"]
-        assert auto == ("compiled" if compiled_available() else "lowered")
+        assert engine_fingerprint("auto")["backend"] == "lowered"
 
     def test_keys_differ_across_backends_for_the_same_point(self):
         params = STAPParams.small()
         keys = {
             cache_key(SimPoint(params, CASE3, backend=backend))
-            for backend in (None, "lowered")
-            + (("compiled",) if compiled_available() else ())
+            for backend in (None,) + BACKEND_NAMES[1:]
         }
-        assert len(keys) == 2 + int(compiled_available())
+        assert len(keys) == len(BACKEND_NAMES)
 
     def test_auto_hashes_to_its_resolved_core(self):
         params = STAPParams.small()
         auto_key = cache_key(SimPoint(params, CASE3, backend="auto"))
         resolved = resolve_backend("auto")
         assert auto_key == cache_key(SimPoint(params, CASE3, backend=resolved))
+
+    def test_existing_store_entries_keep_hitting(self):
+        # Digests computed before the C core was removed: the engines'
+        # identities and schemas did not change, so stores written then
+        # (on any host) still hit, and ``auto`` shares the lowered entry.
+        params = STAPParams.small()
+        reference = cache_key(SimPoint(params, CASE3, backend=None))
+        lowered = cache_key(SimPoint(params, CASE3, backend="lowered"))
+        assert reference == (
+            "df5c7f98e7b3311365d9b5ccdd71b70c37ca24bd0ffdc142378d67f95b731c12"
+        )
+        assert lowered == (
+            "a2591bf28034fd19ffe0eb00b44539a355770877c2ca2e35185c8f1d66bc7c17"
+        )
+        assert cache_key(SimPoint(params, CASE3, backend="auto")) == lowered

@@ -55,29 +55,34 @@ class TestOrdering:
         assert order == [0, 1, 2, 3, 4]
 
     def test_clock_is_monotone(self):
-        sim = Simulator(trace=True)
+        sim = Simulator()
+        times = []
 
         def proc(sim, delay):
             for _ in range(5):
                 yield sim.timeout(delay)
+                times.append(sim.now)
 
         for d in (0.3, 1.0, 0.7):
             sim.process(proc(sim, d))
         sim.run()
-        assert sim.tracer.times_are_monotone()
+        assert len(times) == 15
+        assert times == sorted(times)
 
     def test_determinism_across_runs(self):
         def build_and_run():
-            sim = Simulator(trace=True)
+            sim = Simulator()
+            log = []
 
             def ping(sim, n):
                 for i in range(n):
                     yield sim.timeout(0.5 * (i + 1))
+                    log.append((sim.now, n, i))
 
             for n in (3, 4, 5):
                 sim.process(ping(sim, n))
             sim.run()
-            return [(r.time, r.name) for r in sim.tracer]
+            return log
 
         assert build_and_run() == build_and_run()
 
@@ -139,18 +144,6 @@ class TestPooledTimeouts:
         # After the first timeout is processed it returns to the pool and
         # is handed back out for the next wait.
         assert len(set(seen)) < len(seen)
-
-    def test_tracer_disables_recycling(self):
-        sim = Simulator(trace=True)
-
-        def proc():
-            yield sim.pooled_timeout(1.0)
-            yield sim.pooled_timeout(1.0)
-
-        sim.process(proc())
-        sim.run()
-        # The tracer records event objects, so they must never be reused.
-        assert not sim._timeout_pool
 
     def test_pooled_and_plain_timeouts_interleave_deterministically(self):
         def run_once(pooled: bool):

@@ -219,6 +219,24 @@ class TestStaleEntriesAreCleanMisses:
         with pytest.raises(ExecutionError, match="no campaign manifest"):
             load_campaign(tmp_path)
 
+    def test_manifest_asking_for_the_removed_compiled_engine(self, tmp_path, capsys):
+        """A manifest written when the C engine existed names a backend
+        that no longer does: resuming it is a named error listing the
+        accepted engines, never a traceback or a silently dropped point."""
+        CampaignStore(tmp_path).declare([tiny_point(backend="lowered")])
+        manifest = tmp_path / MANIFEST_NAME
+        document = json.loads(manifest.read_text())
+        document["points"][0]["spec"]["backend"] = "compiled"
+        manifest.write_text(json.dumps(document))
+        accepted = r"\('python', 'lowered', 'auto'\)"
+        with pytest.raises(ConfigurationError, match=rf"'compiled'.*{accepted}"):
+            load_campaign(tmp_path)
+
+        from repro.cli import main
+
+        assert main(["campaign", "resume", "--dir", str(tmp_path)]) == 2
+        assert "'compiled'" in capsys.readouterr().err
+
 
 class TestCampaignQueue:
     def test_two_states_only(self, tmp_path):
