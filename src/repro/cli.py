@@ -377,8 +377,13 @@ def cmd_sweep(args) -> int:
 
 _PARAM_PRESETS = ("paper", "small", "tiny")
 
-#: Accepted ``--backend`` values: every engine, plus ``auto``.
-BACKEND_CHOICES = BACKEND_NAMES + ("auto",)
+
+def _add_backend_flag(parser, what: str) -> None:
+    """``--backend``: every engine name plus ``auto``; unset means lowered."""
+    parser.add_argument("--backend", choices=BACKEND_NAMES + ("auto",),
+                        help=f"simulator core for {what} (default and "
+                             "'auto': the fast lowered engine; 'python' "
+                             "runs the reference oracle)")
 
 
 def _preset_params(name: str):
@@ -486,12 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="two-phase paced latency measurement")
     p_case.add_argument("--perf", action="store_true",
                         help="report the simulator's own wall-clock cost")
-    p_case.add_argument("--backend",
-                        choices=BACKEND_CHOICES,
-                        default=None,
-                        help="simulator core (default: the reference "
-                             "python engine; 'auto' picks the fast "
-                             "lowered engine)")
+    _add_backend_flag(p_case, "the run")
     p_case.add_argument("--profile", action="store_true",
                         help="re-run the case under cProfile and print "
                              "the hottest functions")
@@ -547,10 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(0 = analytic prescreen only, no simulation)")
     p_tune.add_argument("--sim-rounds", type=int, default=2,
                         help="refinement rounds around the measured winners")
-    p_tune.add_argument("--backend",
-                        choices=BACKEND_CHOICES,
-                        default=None,
-                        help="simulator core for refinement runs")
+    _add_backend_flag(p_tune, "refinement runs")
     p_tune.add_argument("--campaign-dir", metavar="PATH", default=None,
                         help="root refinement runs in a durable campaign "
                              "store at PATH (interrupt and rerun to resume; "
@@ -610,10 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="persist results on disk (content-addressed)")
     p_sw.add_argument("--no-cache", action="store_true",
                       help="disable the result cache entirely")
-    p_sw.add_argument("--backend",
-                      choices=BACKEND_CHOICES,
-                      default=None,
-                      help="simulator core for every point of the sweep")
+    _add_backend_flag(p_sw, "every point of the sweep")
     p_sw.add_argument("--dashboard", action="store_true",
                       help="live progress line on stderr plus a final "
                            "campaign summary (rate, hit rate, stage "
@@ -661,10 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(scalability)")
     p_cr.add_argument("--params", choices=_PARAM_PRESETS, default="paper",
                       help="STAP parameter preset for every point")
-    p_cr.add_argument("--backend",
-                      choices=BACKEND_CHOICES,
-                      default=None,
-                      help="simulator core for every point")
+    _add_backend_flag(p_cr, "every point")
     _add_campaign_exec_flags(p_cr)
     p_cr.set_defaults(fn=cmd_campaign_run)
 

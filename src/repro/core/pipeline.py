@@ -116,10 +116,10 @@ class STAPPipeline:
         per iteration/message/transfer).
 
         ``backend``: simulator core (see :mod:`repro.des.backends`):
-        ``"python"`` (reference, the default), ``"lowered"`` (plan-lowered
-        hot path), or ``"auto"`` (the fast engine, ``lowered``).  Both
-        backends produce bit-identical results; the resolved name is
-        available as ``self.backend``."""
+        ``"lowered"`` (plan-lowered hot path; ``None`` and ``"auto"`` mean
+        this one) or ``"python"`` (the reference engine, run only when
+        named).  Both backends produce bit-identical results; the resolved
+        name is available as ``self.backend``."""
         if mode not in ("modeled", "functional"):
             raise ConfigurationError(f"mode must be 'modeled' or 'functional', got {mode!r}")
         if num_cpis < 1:
@@ -152,8 +152,6 @@ class STAPPipeline:
         self.perf = perf
         from repro.des.backends import resolve_backend
 
-        #: The backend name as requested (None/"auto" preserved for clones).
-        self.requested_backend = backend
         #: The resolved, concrete backend this pipeline will run on.
         self.backend = resolve_backend(backend)
         # Explicit identity checks: an *empty* TraceSink has ``__len__`` 0
@@ -359,7 +357,7 @@ class STAPPipeline:
             collect_training=self.collect_training,
             perf=self.perf,
             trace=trace,
-            backend=self.requested_backend,
+            backend=self.backend,
         )
 
     # -- measurement -------------------------------------------------------------------

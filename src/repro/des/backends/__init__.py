@@ -5,14 +5,14 @@ Two backends run the same simulation with the same bit-exact results:
 ``python``
     The reference engine (:class:`~repro.des.engine.Simulator` plus
     :class:`~repro.machine.network.Network`) — the semantics oracle the
-    other backend is pinned against.
+    other backend is pinned against.  It runs only when asked for by name.
 ``lowered``
     Pure-Python, plan-lowered hot path: transfers become pooled slot
     records driven by :class:`EnginePlan` tables, the matcher packs its
-    keys into integers.
+    keys into integers.  The default.
 
-``auto`` resolves to ``lowered`` on every host.  Selection flows down from
-:class:`~repro.core.pipeline.STAPPipeline` and
+``None`` and ``auto`` both resolve to ``lowered`` on every host.
+Selection flows down from :class:`~repro.core.pipeline.STAPPipeline` and
 :class:`~repro.exec.SimPoint`; result-cache keys include the resolved
 backend identity and :data:`ENGINE_SCHEMA` so results from different cores
 are never conflated.
@@ -49,14 +49,12 @@ def available_backends() -> tuple[str, ...]:
 def resolve_backend(name: str | None) -> str:
     """Map a requested backend name onto a concrete one.
 
-    ``None`` keeps the reference engine (full backward compatibility);
-    ``auto`` picks the fast engine, ``lowered``.  Any other name — a
-    stale ``compiled`` request included — is a
+    ``None`` and ``auto`` pick the fast engine, ``lowered``; the
+    reference engine runs only as ``python``.  Any other name — a stale
+    ``compiled`` request included — is a
     :class:`~repro.errors.ConfigurationError`.
     """
-    if name is None:
-        return "python"
-    if name == "auto":
+    if name is None or name == "auto":
         return "lowered"
     if name not in BACKEND_NAMES:
         raise ConfigurationError(

@@ -220,7 +220,8 @@ def point_from_spec(spec: dict) -> SimPoint:
         double_buffering=spec["double_buffering"],
         collect_training=spec["collect_training"],
         measured=spec["measured"],
-        backend=spec["backend"],
+        # Entries written while ``None`` meant the reference engine.
+        backend=spec["backend"] or "python",
         label=spec["label"],
     )
 

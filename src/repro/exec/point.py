@@ -57,10 +57,10 @@ class SimPoint:
     double_buffering: bool = True
     collect_training: bool = True
     measured: bool = False
-    #: Simulator backend (``None`` = reference engine, or one of
-    #: ``python`` / ``lowered`` / ``auto``).  The *resolved*
-    #: identity goes into the cache key, so an ``auto`` point hashes to
-    #: whichever core it actually runs on.
+    #: Simulator backend: ``python`` / ``lowered`` / ``auto``, or ``None``
+    #: for the default (``lowered``).  Stored *resolved*, so points that
+    #: run on the same core compare equal, hash to one cache key and
+    #: write that name into campaign manifests.
     backend: Optional[str] = None
     #: Display name for progress output; defaults to the assignment's name.
     label: str = ""
@@ -75,7 +75,7 @@ class SimPoint:
             raise ConfigurationError(
                 f"the executor supports modes {self.MODES}, got {self.mode!r}"
             )
-        resolve_backend(self.backend)  # ConfigurationError on unknown names
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
         if self.mode == "rt" and self.measured:
             raise ConfigurationError(
                 "rt points are always measured for real; drop measured=True"
@@ -221,7 +221,7 @@ def probe_throughput(pipeline) -> Optional[float]:
         double_buffering=pipeline.double_buffering,
         collect_training=pipeline.collect_training,
         measured=False,
-        backend=pipeline.requested_backend,
+        backend=pipeline.backend,
     )
     cache = get_default_cache()
     key = cache_key(point)

@@ -79,7 +79,7 @@ class TunerConfig:
     min_throughput: Optional[float] = None
     #: Worker processes for the simulation fan-out.
     jobs: int = 1
-    #: Simulator backend for refinement runs.
+    #: Simulator backend for refinement runs (None = ``lowered``).
     backend: Optional[str] = None
     contention: str = "endpoint"
 

@@ -5,7 +5,9 @@ transfers, pooled timeouts, plan caching) is required to change *nothing*
 about the simulated behaviour: not one timestamp, not one detection.
 ``tests/data/golden_fastpath.json`` was captured from the implementation
 *before* any of those optimizations landed; these tests replay the same
-two configurations and compare against it with ``repr``-exact floats.
+two configurations and compare against it with ``repr``-exact floats, on
+every engine in :data:`~repro.des.backends.BACKEND_NAMES` — the default
+``lowered`` one and the ``python`` reference oracle alike.
 
 If an intentional semantic change ever invalidates the golden file,
 recapture it with the snippet in the JSON's ``_meta`` notes — but treat
@@ -29,6 +31,7 @@ from repro import (
     TargetTruth,
 )
 from repro.core.assignment import CASE3
+from repro.des.backends import BACKEND_NAMES
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_fastpath.json"
 
@@ -50,7 +53,8 @@ def _timing_rows(result) -> list[list]:
     return rows
 
 
-def test_functional_run_bit_identical(golden):
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_functional_run_bit_identical(golden, backend):
     """Tiny functional run: detections, reports and timings match the seed."""
     scenario = RadarScenario(
         clutter_to_noise_db=40.0,
@@ -71,7 +75,10 @@ def test_functional_run_bit_identical(golden):
         mode="functional",
         stream=CPIStream(params, scenario),
         num_cpis=5,
+        perf=True,
+        backend=backend,
     ).run()
+    assert result.perf.backend == backend
 
     expected = golden["functional"]
     assert repr(result.makespan) == expected["makespan"]
@@ -90,9 +97,13 @@ def test_functional_run_bit_identical(golden):
     assert _timing_rows(result) == [list(row) for row in expected["timings"]]
 
 
-def test_modeled_case3_bit_identical(golden):
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_modeled_case3_bit_identical(golden, backend):
     """Paper-scale modeled run (case 3, 5 CPIs): every timestamp matches."""
-    result = STAPPipeline(STAPParams.paper(), CASE3, num_cpis=5).run()
+    result = STAPPipeline(
+        STAPParams.paper(), CASE3, num_cpis=5, perf=True, backend=backend
+    ).run()
+    assert result.perf.backend == backend
 
     expected = golden["modeled_case3"]
     assert repr(result.makespan) == expected["makespan"]

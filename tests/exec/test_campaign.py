@@ -54,6 +54,11 @@ class TestPointSpec:
             assert rebuilt == point
             assert cache_key(rebuilt) == cache_key(point)
 
+    def test_spec_records_the_resolved_backend(self):
+        for backend in (None, "auto", "lowered"):
+            assert point_spec(tiny_point(backend=backend))["backend"] == "lowered"
+        assert point_spec(tiny_point(backend="python"))["backend"] == "python"
+
     def test_spec_is_json_clean(self):
         spec = point_spec(tiny_point(input_rate=0.1))
         assert point_from_spec(json.loads(json.dumps(spec))) == tiny_point(
@@ -236,6 +241,30 @@ class TestStaleEntriesAreCleanMisses:
 
         assert main(["campaign", "resume", "--dir", str(tmp_path)]) == 2
         assert "'compiled'" in capsys.readouterr().err
+
+
+    def test_legacy_null_backend_entries_keep_hitting(self, tmp_path):
+        """Manifests written while ``backend=None`` meant the reference
+        engine store ``"backend": null`` under the reference key; they
+        resume as reference points and run nothing."""
+        store = CampaignStore(tmp_path, name="legacy")
+        Campaign([tiny_point(backend="python")], store=store).run()
+        manifest = tmp_path / MANIFEST_NAME
+        document = json.loads(manifest.read_text())
+        [entry] = document["points"]
+        entry["spec"]["backend"] = None
+        manifest.write_text(json.dumps(document))
+
+        resumed = load_campaign(tmp_path)
+        [point] = resumed.points
+        assert point.backend == "python"
+        assert cache_key(point) == entry["key"]
+        before = exec_counters.snapshot()
+        outcomes = resumed.run()
+        delta = exec_counters.delta_since(before)
+        assert delta["simulations_run"] == 0
+        assert [o.cached for o in outcomes] == [True]
+        assert CampaignStore(tmp_path).declared_keys() == [entry["key"]]
 
 
 class TestCampaignQueue:
