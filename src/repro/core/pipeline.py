@@ -37,7 +37,8 @@ from repro.errors import ConfigurationError
 from repro.machine import Machine, afrl_paragon
 from repro.mpi import World
 from repro.obs import TraceSink
-from repro.perf import PerfReport, snapshot_counters
+from repro.obs.metrics import MetricsRegistry, metrics_registry, record_pipeline_run
+from repro.perf import PerfReport
 from repro.radar.datacube import CPIStream
 from repro.radar.parameters import STAPParams
 from repro.stap.detection import DetectionReport
@@ -251,18 +252,7 @@ class STAPPipeline:
     def run(self) -> PipelineResult:
         """Simulate the whole run and aggregate the paper's measurements."""
         from repro.des.backends import get_backend
-        from repro.obs.metrics import (
-            kernel_stats_snapshot,
-            metrics_registry,
-            record_pipeline_run,
-        )
 
-        # Pull-based metrics: snapshot the kernel counters up front, then
-        # flush everything the run already counted *after* sim.run(), so
-        # an enabled registry can never perturb a virtual timestamp.
-        kernel_before = (
-            kernel_stats_snapshot() if metrics_registry.enabled else None
-        )
         engine = get_backend(self.backend)
         sim = engine.create_simulator()
         world = World(
@@ -274,13 +264,14 @@ class STAPPipeline:
         )
         collector = Collector()
         tasks = self._build_tasks(collector)
+        label = f"{self.assignment.name or 'pipeline'} [{self.mode}]"
         sink = self.trace_sink
         if sink is not None:
             sink.bind(sim)
             world.obs = sink
             world.network.obs = sink
             sink.meta.update(
-                label=f"{self.assignment.name or 'pipeline'} [{self.mode}]",
+                label=label,
                 num_cpis=self.num_cpis,
                 contention=self.contention,
                 ranks={
@@ -294,31 +285,37 @@ class STAPPipeline:
                 self._rank_program(task),
                 name=f"{task.name}[{task.local_rank}]",
             )
-        if self.perf:
-            before = snapshot_counters(sim, world)
-            wall_start = time.perf_counter()
-            sim.run()
-            wall = time.perf_counter() - wall_start
-            perf_report = PerfReport.from_snapshots(
-                before,
-                snapshot_counters(sim, world),
-                wall_seconds=wall,
-                sim_seconds=sim.now,
-                num_cpis=self.num_cpis,
-                label=f"{self.assignment.name or 'pipeline'} [{self.mode}]",
-            )
-        else:
-            sim.run()
-            perf_report = None
+        wall_start = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - wall_start
 
         if sink is not None:
             sink.meta["makespan"] = sim.now
         metrics = self._aggregate(collector)
-        if metrics_registry.enabled:
+        # Pull-based metrics: the run's counters are flushed once, after
+        # sim.run(), so recording can never perturb a virtual timestamp.
+        # The per-run registry feeds the perf report and, when telemetry
+        # is on, the process registry (counters add across runs).
+        perf_report = None
+        if self.perf or metrics_registry.enabled:
+            run_registry = MetricsRegistry()
+            run_registry.enable()
             record_pipeline_run(
-                self, sim, world, metrics,
-                makespan=sim.now, kernel_before=kernel_before,
+                self, sim, world, metrics, makespan=sim.now,
+                registry=run_registry,
             )
+            snapshot = run_registry.snapshot()
+            if metrics_registry.enabled:
+                metrics_registry.merge(snapshot)
+            if self.perf:
+                perf_report = PerfReport.from_snapshot(
+                    snapshot,
+                    backend=world.backend,
+                    wall_seconds=wall,
+                    sim_seconds=sim.now,
+                    num_cpis=self.num_cpis,
+                    label=label,
+                )
         reports = self._reports(collector)
         return PipelineResult(
             metrics=metrics,

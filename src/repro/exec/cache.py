@@ -79,27 +79,6 @@ CACHE_SCHEMA = 3
 #: fingerprint includes it.
 MANIFEST_SCHEMA = 1
 
-_metrics_registry = None
-
-
-def _metrics():
-    """The process metrics registry, imported lazily (repro.obs pulls in
-    repro.core; a module-level import here would risk a cycle)."""
-    global _metrics_registry
-    if _metrics_registry is None:
-        from repro.obs.metrics import metrics_registry
-
-        _metrics_registry = metrics_registry
-    return _metrics_registry
-
-
-def _count(name: str, help: str, **labels) -> None:
-    """Record one cache event into the metrics registry when it is on."""
-    reg = _metrics()
-    if reg.enabled:
-        reg.counter(name, help, labels=labels or None).inc()
-
-
 # -- fingerprinting ------------------------------------------------------------------
 def _canon(value):
     """Canonical JSON-ready form of a fingerprint component.
@@ -226,7 +205,6 @@ class ResultCache:
         if cached is not None:
             self._memory.move_to_end(key)
             exec_counters.inc("cache_hits_memory")
-            _count("exec_cache_hits_total", "result-cache hits", layer="memory")
             return deepcopy(cached)
         if self.directory is not None:
             path = self._disk_path(key)
@@ -238,16 +216,12 @@ class ResultCache:
             except Exception:
                 # Truncated or corrupt entry: a (counted) miss, not a crash.
                 exec_counters.inc("cache_corrupt")
-                _count("exec_cache_corrupt_total",
-                       "disk entries that existed but failed to load")
                 result = None
             if result is not None:
                 exec_counters.inc("cache_hits_disk")
-                _count("exec_cache_hits_total", "result-cache hits", layer="disk")
                 self._remember(key, result)
                 return deepcopy(result)
         exec_counters.inc("cache_misses")
-        _count("exec_cache_misses_total", "result-cache lookups that missed")
         return None
 
     def contains(self, key: str) -> bool:
@@ -286,7 +260,6 @@ class ResultCache:
         """Store one result under its content key (memory, then disk)."""
         self._remember(key, deepcopy(result))
         exec_counters.inc("cache_stores")
-        _count("exec_cache_stores_total", "results written into the cache")
         if self.directory is None:
             return
         # Atomic publish: each writer fills a private temp file and

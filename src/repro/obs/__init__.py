@@ -60,22 +60,34 @@ from repro.obs.metrics import (
     write_snapshot,
 )
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.report import EdgeTraffic, PipelineObsReport, build_report
-from repro.obs.dashboard import SweepDashboard
 from repro.obs.progress import campaign_status, read_campaign_progress
 
-_REGRESS_EXPORTS = ("RegressionReport", "compare", "compare_files")
+#: Exports whose modules import ``repro.core`` (or run as ``python -m``)
+#: load on first use.  The eager modules above import nothing from the
+#: package, so the layers below ``repro.core`` — the STAP kernels, the
+#: executor counters — can record into :data:`metrics_registry` without
+#: an import cycle.
+_LAZY = {
+    "EdgeTraffic": "report",
+    "PipelineObsReport": "report",
+    "build_report": "report",
+    "SweepDashboard": "dashboard",
+    # Lazy also because ``python -m repro.obs.regress`` first imports this
+    # package, and an eager import would trigger runpy's RuntimeWarning.
+    "RegressionReport": "regress",
+    "compare": "regress",
+    "compare_files": "regress",
+}
 
 
 def __getattr__(name):
-    # Lazy: ``python -m repro.obs.regress`` first imports this package, and
-    # an eager submodule import here would trigger runpy's found-in-
-    # sys.modules RuntimeWarning on every CLI gate invocation.
-    if name in _REGRESS_EXPORTS:
-        from repro.obs import regress
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(regress, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"repro.obs.{module}"), name)
+
 
 __all__ = [
     "ITERATION_PHASES",

@@ -17,9 +17,24 @@ Everything hangs off a process-wide :class:`MetricsRegistry`
 (:data:`metrics_registry`), **default-off**: instruments only record when
 the registry is enabled, and the instrumented layers guard their calls
 with one ``enabled`` check, mirroring the trace layer's ``is None``
-convention.  Recording is pull-shaped — producers flush counters the
-simulation already maintained *after* a run (:func:`record_pipeline_run`)
-— so enabling metrics can never change a simulated timestamp.
+convention.
+
+The registry is the one store for counts and host time; the other
+counter objects are views of it.  Three producers write into it:
+
+* the seven STAP kernels call :func:`record_kernel` (the
+  ``stap_kernel_*`` series) wherever the registry is on — serial chains,
+  functional simulations, ``repro.rt`` workers;
+* :func:`record_pipeline_run` flushes the counters a simulation already
+  maintained *after* ``sim.run()`` (``des_*``, ``mpi_*``, ``net_*``,
+  stage histograms), so enabling metrics can never change a simulated
+  timestamp.  :class:`~repro.perf.PerfReport` is read back from the same
+  series;
+* :meth:`repro.perf.ExecCounters.inc` mirrors the result-cache events
+  into the ``exec_cache_*`` series.
+
+:data:`repro.perf.kernel_counters` is the per-kernel view of the
+``stap_kernel_*`` series.
 
 Cross-process story: :meth:`MetricsRegistry.snapshot` freezes the
 registry into a plain-dict :class:`MetricsSnapshot`; worker processes of
@@ -394,36 +409,45 @@ class MetricsRegistry:
 metrics_registry = MetricsRegistry()
 
 
-# -- run-level flush ---------------------------------------------------------------
-def kernel_stats_snapshot() -> dict:
-    """Current ``{kernel: (calls, seconds, flops)}`` of the kernel counters
-    (for delta-based flushing around one run)."""
-    from repro.perf import kernel_counters
+# -- producers ---------------------------------------------------------------------
+def record_kernel(kernel: str, seconds: float, flops: float) -> None:
+    """Credit one call of an instrumented STAP kernel.
 
-    return {
-        name: (stats.calls, stats.seconds, stats.flops)
-        for name, stats in kernel_counters.stats().items()
-    }
+    The kernels time themselves only while ``metrics_registry.enabled`` is
+    set (one attribute read when it is not), so this is called with the
+    registry on.  ``flops`` is the call's share of the paper's analytic
+    Table 1 count, not a count of machine instructions.
+    """
+    labels = {"kernel": kernel}
+    metrics_registry.counter("stap_kernel_calls_total",
+                             "instrumented kernel invocations",
+                             labels=labels).inc()
+    metrics_registry.counter("stap_kernel_seconds_total",
+                             "host seconds inside instrumented kernels",
+                             labels=labels).inc(seconds)
+    metrics_registry.counter("stap_kernel_flops_total",
+                             "modeled useful flops performed",
+                             labels=labels).inc(flops)
 
 
 def record_pipeline_run(
     pipeline, sim, world, metrics, makespan: float,
-    kernel_before: Optional[dict] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Flush one completed pipeline run into the registry.
 
     Pull-based by design: everything recorded here is a counter or
-    timestamp the simulation *already produced* (the same always-on
-    integers :func:`repro.perf.snapshot_counters` reads), so the run's
-    virtual-time behaviour is bit-identical with metrics on or off.  The
-    simulator and world are fresh per run, so their totals are this run's
-    deltas.
+    timestamp the simulation *already produced* (the always-on integers
+    of :class:`~repro.des.Simulator` and :class:`~repro.mpi.World`), so
+    the run's virtual-time behaviour is bit-identical with metrics on or
+    off.  The simulator and world are fresh per run, so their totals are
+    this run's deltas; :class:`~repro.perf.PerfReport` reads them back
+    from the same series.
     """
     reg = metrics_registry if registry is None else registry
     if not reg.enabled:
         return
-    backend = {"backend": getattr(world, "backend", getattr(sim, "backend", "python"))}
+    backend = {"backend": world.backend}
 
     # DES engine.
     reg.counter("des_events_total",
@@ -431,12 +455,11 @@ def record_pipeline_run(
                 labels=backend).inc(sim.events_processed)
     reg.gauge("des_heap_depth_peak",
               "peak event-heap depth observed at schedule time").set_max(
-        getattr(sim, "heap_peak", 0))
-    plan = getattr(world, "engine_plan", None)
-    if plan is not None:
+        sim.heap_peak)
+    if world.engine_plan is not None:
         reg.counter("des_plan_build_seconds_total",
                     "host seconds spent lowering EnginePlan tables",
-                    labels=backend).inc(plan.build_seconds)
+                    labels=backend).inc(world.engine_plan.build_seconds)
 
     # SimMPI matcher.
     reg.counter("mpi_match_probes_total",
@@ -447,10 +470,10 @@ def record_pipeline_run(
         world.recvs_posted)
     reg.counter("mpi_wildcard_recvs_total",
                 "receives posted with a wildcard source or tag").inc(
-        getattr(world, "wildcard_recvs", 0))
+        world.wildcard_recvs)
     reg.counter("mpi_wildcard_hits_total",
                 "matches that involved a wildcard receive").inc(
-        getattr(world, "wildcard_hits", 0))
+        world.wildcard_hits)
 
     # Network.
     network = world.network
@@ -458,7 +481,7 @@ def record_pipeline_run(
         network.messages_sent)
     reg.counter("net_bytes_total", "bytes sent on the interconnect").inc(
         network.bytes_sent)
-    sink = getattr(pipeline, "trace_sink", None)
+    sink = pipeline.trace_sink
     if sink is not None and sink.link_stats:
         busy = sum(s.busy_seconds for s in sink.link_stats.values())
         wait = sum(s.wait_seconds for s in sink.link_stats.values())
@@ -494,33 +517,6 @@ def record_pipeline_run(
                     f"steady-state {phase} seconds per CPI, per run",
                     labels=labels,
                 ).observe(value)
-
-    # STAP kernels (reusing repro.perf.kernels timings when collection is on).
-    if kernel_before is not None:
-        record_kernel_delta(kernel_before, kernel_stats_snapshot(), registry=reg)
-
-
-def record_kernel_delta(before: dict, after: dict,
-                        registry: Optional[MetricsRegistry] = None) -> None:
-    """Record per-kernel call/seconds/flops growth between two
-    :func:`kernel_stats_snapshot` readings."""
-    reg = metrics_registry if registry is None else registry
-    if not reg.enabled:
-        return
-    for kernel, (calls, seconds, flops) in after.items():
-        b_calls, b_seconds, b_flops = before.get(kernel, (0, 0.0, 0.0))
-        if calls == b_calls:
-            continue
-        labels = {"kernel": kernel}
-        reg.counter("stap_kernel_calls_total",
-                    "instrumented kernel invocations", labels=labels).inc(
-            calls - b_calls)
-        reg.counter("stap_kernel_seconds_total",
-                    "host seconds inside instrumented kernels",
-                    labels=labels).inc(seconds - b_seconds)
-        reg.counter("stap_kernel_flops_total",
-                    "modeled useful flops performed", labels=labels).inc(
-            flops - b_flops)
 
 
 # -- export ------------------------------------------------------------------------

@@ -1,10 +1,32 @@
-"""Simulation-speed counters and the report that aggregates them."""
+"""Executor counters and the simulation-speed report.
+
+Both read and write through :data:`repro.obs.metrics.metrics_registry`
+where it matters: :meth:`ExecCounters.inc` mirrors the result-cache
+events into the ``exec_cache_*`` series, and :class:`PerfReport` is built
+from one run's :func:`~repro.obs.metrics.record_pipeline_run` snapshot.
+"""
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, fields
+
+from repro.obs.metrics import MetricsSnapshot, metrics_registry
+
+#: Executor counters that are also registry series (while the registry is
+#: on): counter -> (series, help, labels).
+_REGISTRY_SERIES = {
+    "cache_hits_memory": ("exec_cache_hits_total", "result-cache hits",
+                          {"layer": "memory"}),
+    "cache_hits_disk": ("exec_cache_hits_total", "result-cache hits",
+                        {"layer": "disk"}),
+    "cache_misses": ("exec_cache_misses_total",
+                     "result-cache lookups that missed", None),
+    "cache_stores": ("exec_cache_stores_total",
+                     "results written into the cache", None),
+    "cache_corrupt": ("exec_cache_corrupt_total",
+                      "disk entries that existed but failed to load", None),
+}
 
 
 @dataclass
@@ -52,9 +74,16 @@ class ExecCounters:
         self._names = tuple(f.name for f in fields(self))
 
     def inc(self, name: str, amount: int = 1) -> None:
-        """Thread-safely add ``amount`` to the named counter."""
+        """Thread-safely add ``amount`` to the named counter.
+
+        A result-cache counter also adds to its ``exec_cache_*`` registry
+        series while the registry is enabled.
+        """
         with self._lock:
             setattr(self, name, getattr(self, name) + amount)
+        series = _REGISTRY_SERIES.get(name)
+        if series is not None and metrics_registry.enabled:
+            metrics_registry.counter(*series).inc(amount)
 
     def snapshot(self) -> dict:
         """Copy of the current values (for before/after deltas)."""
@@ -74,48 +103,6 @@ class ExecCounters:
 
 #: The module singleton the executor and cache increment.
 exec_counters = ExecCounters()
-
-
-#: Snapshot keys that identify the run rather than count it; they ride
-#: along in snapshots but are carried through (not differenced) by
-#: :meth:`PerfReport.from_snapshots`.
-_META_KEYS = ("backend", "plan_build_seconds")
-
-
-def snapshot_counters(sim, world=None) -> dict:
-    """Raw counter values of a simulator (and optionally its MPI world).
-
-    Taken before and after a run, the difference is what the run cost.
-    Besides counters, the snapshot records which simulator backend ran
-    and how long its :class:`~repro.des.backends.plan.EnginePlan` took to
-    build (zero for the reference engine, which lowers nothing).
-    """
-    counters = {
-        "events_processed": sim.events_processed,
-        "match_probes": 0,
-        "sends_posted": 0,
-        "recvs_posted": 0,
-        "wildcard_recvs": 0,
-        "wildcard_hits": 0,
-        "network_messages": 0,
-        "network_bytes": 0,
-        "backend": getattr(sim, "backend", "python"),
-        "plan_build_seconds": 0.0,
-    }
-    if world is not None:
-        plan = getattr(world, "engine_plan", None)
-        counters.update(
-            match_probes=world.match_probes,
-            sends_posted=world.sends_posted,
-            recvs_posted=world.recvs_posted,
-            wildcard_recvs=world.wildcard_recvs,
-            wildcard_hits=world.wildcard_hits,
-            network_messages=world.network.messages_sent,
-            network_bytes=world.network.bytes_sent,
-            backend=getattr(world, "backend", counters["backend"]),
-            plan_build_seconds=plan.build_seconds if plan is not None else 0.0,
-        )
-    return counters
 
 
 @dataclass
@@ -147,7 +134,6 @@ class PerfReport:
     plan_build_seconds: float = 0.0
     #: Optional label (case name, mode) carried into serialized output.
     label: str = ""
-    extras: dict = field(default_factory=dict)
 
     # -- derived ----------------------------------------------------------------
     @property
@@ -167,97 +153,54 @@ class PerfReport:
         return self.wall_seconds / self.num_cpis if self.num_cpis else 0.0
 
     # -- construction -----------------------------------------------------------
+    #: Report field -> counter series :func:`record_pipeline_run` writes
+    #: (``des_*`` series carry the engine's ``backend`` label).
+    _SERIES = {
+        "events_processed": "des_events_total",
+        "match_probes": "mpi_match_probes_total",
+        "sends_posted": "mpi_sends_total",
+        "recvs_posted": "mpi_recvs_total",
+        "wildcard_recvs": "mpi_wildcard_recvs_total",
+        "wildcard_hits": "mpi_wildcard_hits_total",
+        "network_messages": "net_messages_total",
+        "network_bytes": "net_bytes_total",
+    }
+
     @classmethod
-    def from_snapshots(
+    def from_snapshot(
         cls,
-        before: dict,
-        after: dict,
+        snapshot: MetricsSnapshot,
+        backend: str,
         wall_seconds: float,
         sim_seconds: float,
         num_cpis: int,
         label: str = "",
     ) -> "PerfReport":
-        """Build a report from :func:`snapshot_counters` pairs."""
-        delta = {
-            key: after[key] - before[key]
-            for key in before
-            if key not in _META_KEYS
-        }
+        """Build a report from one run's registry snapshot."""
+        engine = {"backend": backend}
+        counts = {}
+        for field, series in cls._SERIES.items():
+            labels = engine if series.startswith("des_") else None
+            counts[field] = int(snapshot.value(series, labels))
         return cls(
             wall_seconds=wall_seconds,
             sim_seconds=sim_seconds,
             num_cpis=num_cpis,
+            backend=backend,
+            plan_build_seconds=snapshot.value("des_plan_build_seconds_total", engine),
             label=label,
-            backend=str(after.get("backend", before.get("backend", ""))),
-            plan_build_seconds=float(
-                after.get(
-                    "plan_build_seconds", before.get("plan_build_seconds", 0.0)
-                )
-            ),
-            **delta,
+            **counts,
         )
 
-    #: ``to_dict`` keys computed from other fields; ``from_dict`` drops
-    #: them rather than storing stale copies.
-    _DERIVED_KEYS = ("events_per_second", "probes_per_message", "wall_seconds_per_cpi")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PerfReport":
-        """Rebuild a report from :meth:`to_dict` output (round-trip safe).
-
-        Derived rates are recomputed, not read back; keys that are not
-        report fields land in ``extras`` so foreign annotations survive
-        the round trip (``from_dict(r.to_dict()).to_dict() == r.to_dict()``
-        holds whenever extras don't shadow field names).
-        """
-        doc = dict(doc)
-        for key in cls._DERIVED_KEYS:
-            doc.pop(key, None)
-        known = {f.name for f in fields(cls)} - {"extras"}
-        kwargs = {key: doc.pop(key) for key in list(doc) if key in known}
-        return cls(extras=doc, **kwargs)
-
     # -- output -----------------------------------------------------------------
-    def counters_dict(self) -> dict:
-        """Raw registered counters only (no derived rates, no label).
-
-        Every registered counter is present even when zero, so programmatic
-        before/after diffs see the full key set — a counter that silently
-        vanishes from the output reads as "unchanged" when it actually
-        dropped to zero.
-        """
-        return {
-            "events_processed": self.events_processed,
-            "match_probes": self.match_probes,
-            "sends_posted": self.sends_posted,
-            "recvs_posted": self.recvs_posted,
-            "wildcard_recvs": self.wildcard_recvs,
-            "wildcard_hits": self.wildcard_hits,
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-        }
-
     def to_dict(self) -> dict:
         """JSON-serializable view (raw counters plus derived rates)."""
         return {
             "label": self.label,
-            "wall_seconds": self.wall_seconds,
-            "sim_seconds": self.sim_seconds,
-            "num_cpis": self.num_cpis,
-            "events_processed": self.events_processed,
-            "match_probes": self.match_probes,
-            "sends_posted": self.sends_posted,
-            "recvs_posted": self.recvs_posted,
-            "wildcard_recvs": self.wildcard_recvs,
-            "wildcard_hits": self.wildcard_hits,
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-            "backend": self.backend,
-            "plan_build_seconds": self.plan_build_seconds,
+            **asdict(self),
             "events_per_second": self.events_per_second,
             "probes_per_message": self.probes_per_message,
             "wall_seconds_per_cpi": self.wall_seconds_per_cpi,
-            **self.extras,
         }
 
     def summary(self) -> str:

@@ -1,15 +1,17 @@
-"""Per-kernel wall-time and achieved-flops counters for the STAP kernels.
+"""Per-kernel wall-time and achieved-flops view of the STAP kernels.
 
-Complements :mod:`repro.perf.counters` (which measures the *simulator*):
-this module measures the *numerical kernels themselves* — how many host
-seconds each batched NumPy kernel spends per run, and what fraction of the
-paper's analytic operation counts (Table 1, :mod:`repro.stap.flops`) it
-sustains.  The before/after evidence for the batched-kernel work lives in
-``benchmarks/bench_kernels.py``, which drives these counters.
+Complements :class:`repro.perf.PerfReport` (which measures the
+*simulator*): this module reports on the *numerical kernels themselves* —
+how many host seconds each batched NumPy kernel spends, and what fraction
+of the paper's analytic operation counts (Table 1, :mod:`repro.stap.flops`)
+it sustains.  The before/after evidence for the batched-kernel work lives
+in ``benchmarks/bench_kernels.py``, which reads this view.
 
-Collection is opt-in and off by default: every instrumented kernel pays
-one attribute check (``if not counters.enabled``) when disabled, so the
-functional hot path stays clean.  Enable around a region of interest::
+The counts themselves live in the metrics registry: every instrumented
+kernel checks ``metrics_registry.enabled`` (one attribute read when off)
+and, when on, calls :func:`repro.obs.metrics.record_kernel`, which adds
+to the ``stap_kernel_{calls,seconds,flops}_total{kernel=...}`` series.
+:data:`kernel_counters` reads those series back per kernel::
 
     from repro.perf import kernel_counters
 
@@ -25,10 +27,28 @@ row-for-row with Table 1.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, Optional
+
+from repro.obs.metrics import metrics_registry
+
+#: Registry counter -> :class:`KernelStats` field it fills.
+_SERIES = {
+    "stap_kernel_calls_total": "calls",
+    "stap_kernel_seconds_total": "seconds",
+    "stap_kernel_flops_total": "flops",
+}
+
+#: Pipeline-task order, used to list kernels in :meth:`summary`.
+_ORDER = (
+    "doppler",
+    "easy_weight",
+    "hard_weight",
+    "easy_beamform",
+    "hard_beamform",
+    "pulse_compression",
+    "cfar",
+)
 
 
 @dataclass
@@ -60,104 +80,46 @@ class KernelStats:
         }
 
 
-class KernelCounters:
-    """Registry of :class:`KernelStats`, keyed by kernel name.
+class KernelSeriesView:
+    """Per-kernel view of the registry's ``stap_kernel_*`` series."""
 
-    A module singleton (:data:`kernel_counters`) is shared by all
-    instrumented kernels; :meth:`timed` is the single hot-path entry
-    point.  Not thread-safe — enable it around single-threaded
-    measurement regions only (the functional pipeline runs the numerics
-    on one thread).
-    """
-
-    def __init__(self) -> None:
-        self.enabled: bool = False
-        self._stats: Dict[str, KernelStats] = {}
-
-    # -- lifecycle ----------------------------------------------------------------
-    def enable(self, reset: bool = True) -> None:
-        if reset:
-            self.reset()
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._stats.clear()
-
-    @contextmanager
     def collect(self, reset: bool = True):
-        """Enable collection for a ``with`` block; restores the prior state."""
-        was_enabled = self.enabled
-        self.enable(reset=reset)
-        try:
-            yield self
-        finally:
-            self.enabled = was_enabled
+        """Enable the metrics registry for a ``with`` block
+        (:meth:`~repro.obs.metrics.MetricsRegistry.collect`); the series
+        stay readable after the block."""
+        return metrics_registry.collect(reset=reset)
 
-    # -- recording ----------------------------------------------------------------
-    @contextmanager
-    def timed(self, kernel: str, flops: float = 0.0):
-        """Time a kernel invocation and credit it with ``flops`` operations.
-
-        When disabled this is a no-op beyond the generator machinery; the
-        instrumented kernels guard even that with ``if counters.enabled``
-        so the disabled cost is one attribute check.
-        """
-        if not self.enabled:
-            yield
-            return
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            self.record(kernel, perf_counter() - start, flops)
-
-    def record(self, kernel: str, seconds: float, flops: float = 0.0) -> None:
-        """Credit one call directly (for callers that time themselves)."""
-        stats = self._stats.get(kernel)
-        if stats is None:
-            stats = self._stats[kernel] = KernelStats()
-        stats.calls += 1
-        stats.seconds += seconds
-        stats.flops += flops
-
-    # -- output -------------------------------------------------------------------
     def stats(self) -> Dict[str, KernelStats]:
-        """Live view of the accumulated per-kernel statistics."""
-        return self._stats
-
-    def to_dict(self) -> dict:
-        """JSON-serializable per-kernel ``{calls, seconds, flops, flops/s}``."""
-        return {name: stats.to_dict() for name, stats in sorted(self._stats.items())}
+        """``{kernel: KernelStats}`` built from the registry series."""
+        out: Dict[str, KernelStats] = {}
+        for instrument in metrics_registry.instruments():
+            field = _SERIES.get(instrument.name)
+            if field is None:
+                continue
+            kernel = dict(instrument.labels)["kernel"]
+            stats = out.setdefault(kernel, KernelStats())
+            value = instrument.value
+            setattr(stats, field, int(value) if field == "calls" else value)
+        return out
 
     def summary(self, title: str = "kernel counters") -> str:
         """Printable per-kernel table, pipeline-task order first."""
-        order = [
-            "doppler",
-            "easy_weight",
-            "hard_weight",
-            "easy_beamform",
-            "hard_beamform",
-            "pulse_compression",
-            "cfar",
-        ]
-        names = [k for k in order if k in self._stats]
-        names += [k for k in sorted(self._stats) if k not in order]
+        stats = self.stats()
+        names = [k for k in _ORDER if k in stats]
+        names += [k for k in sorted(stats) if k not in _ORDER]
         lines = [
             f"--- {title}",
             f"{'kernel':<20} {'calls':>7} {'seconds':>10} {'Mflops/s':>10}",
         ]
         total = KernelStats()
         for name in names:
-            stats = self._stats[name]
-            total.calls += stats.calls
-            total.seconds += stats.seconds
-            total.flops += stats.flops
+            row = stats[name]
+            total.calls += row.calls
+            total.seconds += row.seconds
+            total.flops += row.flops
             lines.append(
-                f"{name:<20} {stats.calls:>7d} {stats.seconds:>10.4f}"
-                f" {stats.flops_per_second / 1e6:>10.1f}"
+                f"{name:<20} {row.calls:>7d} {row.seconds:>10.4f}"
+                f" {row.flops_per_second / 1e6:>10.1f}"
             )
         lines.append(
             f"{'total':<20} {total.calls:>7d} {total.seconds:>10.4f}"
@@ -166,12 +128,12 @@ class KernelCounters:
         return "\n".join(lines)
 
 
-#: The module singleton the instrumented STAP kernels report into.
-kernel_counters = KernelCounters()
+#: The view :mod:`benchmarks` and ``perfbench`` read kernel timings from.
+kernel_counters = KernelSeriesView()
 
 
 def achieved_vs_table1(
-    counters: Optional[KernelCounters] = None,
+    counters: Optional[KernelSeriesView] = None,
     num_cpis: int = 1,
 ) -> dict:
     """Per-kernel achieved flops/s against the paper's Table 1 counts.

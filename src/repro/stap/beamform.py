@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 
 
@@ -49,12 +49,12 @@ def beamform_easy(
             f"easy weights shape {weights.shape} != "
             f"({n_easy},{J},{params.num_beams})"
         )
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     out = np.einsum("njm,njk->nmk", np.conj(weights), dop_easy, optimize=True)
     if start is not None:
         from repro.stap.flops import easy_beamform_flops
 
-        kernel_counters.record(
+        record_kernel(
             "easy_beamform", perf_counter() - start, easy_beamform_flops(params)
         )
     return out
@@ -87,7 +87,7 @@ def beamform_hard(
     expected_w = (params.num_segments, n_hard, n2, params.num_beams)
     if weights.shape != expected_w:
         raise ConfigurationError(f"hard weights shape {weights.shape} != {expected_w}")
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     out = np.empty((n_hard, params.num_beams, K), dtype=complex)
     for seg_idx, seg in enumerate(params.segment_slices):
         out[:, :, seg] = np.einsum(
@@ -99,7 +99,7 @@ def beamform_hard(
     if start is not None:
         from repro.stap.flops import hard_beamform_flops
 
-        kernel_counters.record(
+        record_kernel(
             "hard_beamform", perf_counter() - start, hard_beamform_flops(params)
         )
     return out

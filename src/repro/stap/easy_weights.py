@@ -21,7 +21,7 @@ from typing import Deque, Dict
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.stap.lsq import (
     qr_factor,
@@ -101,7 +101,7 @@ def compute_easy_weights(
     num_bins, rows, J = stacked.shape
     if num_bins == 0:
         return np.empty((0, J, steering.shape[1]), dtype=complex)
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     # Vectorized per-bin data level; the diagonal constraint is the only
     # per-bin part of the constraint block, so it is built by index
     # assignment instead of B dense J x J materializations.
@@ -119,7 +119,7 @@ def compute_easy_weights(
 
         M = steering.shape[1]
         per_bin = qr_flops(rows, J) + M * (4.0 * J * J + 6.0 * J)
-        kernel_counters.record(
+        record_kernel(
             "easy_weight", perf_counter() - start, num_bins * per_bin
         )
     return weights

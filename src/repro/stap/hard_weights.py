@@ -21,7 +21,7 @@ from typing import Dict
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.perf.kernels import kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
 from repro.radar.parameters import STAPParams
 from repro.stap.doppler import stagger_phase
 from repro.stap.easy_weights import select_range_samples
@@ -85,7 +85,7 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
     the grid wrapper :func:`update_r_block` and the parallel hard weight
     task, whose rank owns an arbitrary flat subset of units.
     """
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     state[...] = qr_append_rows_stacked(state, training, forget=forget)
     if start is not None:
         from repro.stap.flops import qr_flops
@@ -95,7 +95,7 @@ def update_r_units(state: np.ndarray, training: np.ndarray, forget: float) -> No
         # here so update + solve sum to the paper's per-unit count.
         num_units, rows, n2 = training.shape
         flops = num_units * qr_flops(n2 + rows + n2 // 2, n2)
-        kernel_counters.record("hard_weight", perf_counter() - start, flops)
+        record_kernel("hard_weight", perf_counter() - start, flops)
 
 
 def hard_constraint_blocks(
@@ -137,7 +137,7 @@ def compute_hard_weights_units(
     One stacked constrained solve over all units; bit identical to the
     per-unit loop (see :func:`compute_hard_weights_loop`).
     """
-    start = perf_counter() if kernel_counters.enabled else None
+    start = perf_counter() if metrics_registry.enabled else None
     constraints = hard_constraint_blocks(state, phases, beam_weight, freq_weight)
     weights = solve_constrained_stacked(state, constraints, steering)
     if start is not None:
@@ -145,7 +145,7 @@ def compute_hard_weights_units(
         # share is credited to update_r_units (see comment there).
         num_units, n2 = state.shape[0], state.shape[1]
         flops = num_units * steering.shape[1] * 3.0 * n2 * n2
-        kernel_counters.record("hard_weight", perf_counter() - start, flops)
+        record_kernel("hard_weight", perf_counter() - start, flops)
     return weights
 
 

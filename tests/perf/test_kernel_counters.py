@@ -1,9 +1,11 @@
-"""Kernel counters: opt-in timing/flops accounting for the STAP kernels."""
+"""Kernel counters: the per-kernel view of the registry's stap_kernel_* series."""
 
 import pytest
 
-from repro.perf import KernelCounters, achieved_vs_table1, kernel_counters
+from repro.obs.metrics import metrics_registry, record_kernel
+from repro.perf import achieved_vs_table1, kernel_counters
 from repro.radar import CPIStream, RadarScenario, STAPParams
+from repro.stap.doppler import doppler_filter
 from repro.stap.flops import PAPER_TABLE1, doppler_flops
 from repro.stap.reference import SequentialSTAP
 
@@ -15,50 +17,45 @@ def cubes(params, count):
 @pytest.fixture(autouse=True)
 def restore_singleton():
     yield
-    kernel_counters.disable()
-    kernel_counters.reset()
+    metrics_registry.disable()
+    metrics_registry.reset()
 
 
 class TestCounterMechanics:
     def test_disabled_by_default_records_nothing(self):
-        counters = KernelCounters()
-        assert not counters.enabled
-        with counters.timed("doppler", 100.0):
-            pass
-        assert counters.stats() == {}
+        params = STAPParams.tiny()
+        assert not metrics_registry.enabled
+        doppler_filter(cubes(params, 1)[0])
+        assert kernel_counters.stats() == {}
 
     def test_record_accumulates(self):
-        counters = KernelCounters()
-        counters.enable()
-        counters.record("doppler", 0.5, 100.0)
-        counters.record("doppler", 0.5, 300.0)
-        stats = counters.stats()["doppler"]
+        with kernel_counters.collect():
+            record_kernel("doppler", 0.5, 100.0)
+            record_kernel("doppler", 0.5, 300.0)
+        stats = kernel_counters.stats()["doppler"]
         assert stats.calls == 2
         assert stats.seconds == pytest.approx(1.0)
         assert stats.flops == pytest.approx(400.0)
         assert stats.flops_per_second == pytest.approx(400.0)
 
     def test_collect_restores_prior_state(self):
-        counters = KernelCounters()
-        with counters.collect():
-            assert counters.enabled
-            counters.record("cfar", 1.0, 10.0)
-        assert not counters.enabled
+        with kernel_counters.collect():
+            assert metrics_registry.enabled
+            record_kernel("cfar", 1.0, 10.0)
+        assert not metrics_registry.enabled
         # Stats survive past the block for post-hoc reporting.
-        assert counters.stats()["cfar"].flops == pytest.approx(10.0)
+        assert kernel_counters.stats()["cfar"].flops == pytest.approx(10.0)
 
     def test_collect_nested_keeps_outer_enabled(self):
-        counters = KernelCounters()
-        counters.enable()
-        with counters.collect():
+        metrics_registry.enable()
+        with kernel_counters.collect():
             pass
-        assert counters.enabled
+        assert metrics_registry.enabled
 
     def test_summary_lists_kernels(self):
-        counters = KernelCounters()
-        counters.enable()
-        counters.record("doppler", 0.25, 1e6)
-        text = counters.summary()
+        with kernel_counters.collect():
+            record_kernel("doppler", 0.25, 1e6)
+        text = kernel_counters.summary()
         assert "doppler" in text
         assert "total" in text
 
@@ -90,7 +87,7 @@ class TestInstrumentedKernels:
 
     def test_disabled_run_records_nothing(self):
         params = STAPParams.tiny()
-        kernel_counters.reset()
+        metrics_registry.reset()
         SequentialSTAP(params).process(cubes(params, 1)[0])
         assert kernel_counters.stats() == {}
 
@@ -113,9 +110,7 @@ class TestAchievedVsTable1:
                 )
 
     def test_uses_singleton_by_default(self):
-        kernel_counters.reset()
-        kernel_counters.enable()
-        kernel_counters.record("doppler", 1.0, 2e6)
-        kernel_counters.disable()
+        with kernel_counters.collect():
+            record_kernel("doppler", 1.0, 2e6)
         table = achieved_vs_table1(num_cpis=1)
         assert table["doppler"]["flops"] == pytest.approx(2e6)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Assignment, STAPParams, STAPPipeline
+from repro import Assignment, CPIStream, RadarScenario, STAPParams, STAPPipeline
 from repro.des import Simulator
+from repro.des.backends import BACKEND_NAMES
 from repro.machine import afrl_paragon
 from repro.mpi import World
-from repro.perf import PerfReport, profile_run, snapshot_counters
+from repro.obs.metrics import metrics_registry, series_name
+from repro.perf import PerfReport, kernel_counters, profile_run
 
 TINY_ASSIGNMENT = Assignment(3, 2, 2, 2, 2, 2, 2, name="perf-test")
 
@@ -51,34 +53,6 @@ class TestCounters:
         # Indexed matching: at most one probe per side of the match.
         assert 0 <= world.match_probes <= 2
 
-    def test_snapshot_counters_shape(self):
-        sim = Simulator()
-        world = World(sim, afrl_paragon(), num_ranks=2)
-        snap = snapshot_counters(sim, world)
-        assert set(snap) == {
-            "events_processed",
-            "match_probes",
-            "sends_posted",
-            "recvs_posted",
-            "wildcard_recvs",
-            "wildcard_hits",
-            "network_messages",
-            "network_bytes",
-            "backend",
-            "plan_build_seconds",
-        }
-        # Counters start at zero; the meta keys identify the run instead.
-        assert all(
-            v == 0
-            for k, v in snap.items()
-            if k not in ("backend", "plan_build_seconds")
-        )
-        assert snap["backend"] == "python"
-        assert snap["plan_build_seconds"] == 0.0
-        # Simulator-only snapshot still carries every key.
-        assert set(snapshot_counters(sim)) == set(snap)
-
-
 class TestPerfReport:
     def test_derived_rates(self):
         report = PerfReport(
@@ -104,31 +78,6 @@ class TestPerfReport:
         assert report.probes_per_message == 0.0
         assert report.wall_seconds_per_cpi == 0.0
 
-    def test_from_snapshots_takes_deltas(self):
-        before = dict(
-            events_processed=100,
-            match_probes=5,
-            sends_posted=3,
-            recvs_posted=3,
-            network_messages=3,
-            network_bytes=300,
-        )
-        after = dict(
-            events_processed=250,
-            match_probes=9,
-            sends_posted=7,
-            recvs_posted=7,
-            network_messages=7,
-            network_bytes=900,
-        )
-        report = PerfReport.from_snapshots(
-            before, after, wall_seconds=1.0, sim_seconds=2.0, num_cpis=2, label="x"
-        )
-        assert report.events_processed == 150
-        assert report.match_probes == 4
-        assert report.network_bytes == 600
-        assert report.label == "x"
-
     def test_to_dict_and_summary(self):
         report = PerfReport(
             wall_seconds=1.0,
@@ -149,28 +98,6 @@ class TestPerfReport:
         assert "events/s" in text
         assert "probes/op" in text
 
-    def test_counters_dict_has_every_registered_counter(self):
-        report = PerfReport(
-            wall_seconds=1.0, sim_seconds=2.0, num_cpis=5, events_processed=100
-        )
-        counters = report.counters_dict()
-        assert set(counters) == {
-            "events_processed",
-            "match_probes",
-            "sends_posted",
-            "recvs_posted",
-            "wildcard_recvs",
-            "wildcard_hits",
-            "network_messages",
-            "network_bytes",
-        }
-        # Zero-valued counters are present, not omitted: a missing key would
-        # make a before/after diff read as "unchanged".
-        assert counters["network_messages"] == 0
-        assert counters["events_processed"] == 100
-        # No derived rates leak into the raw-counter view.
-        assert "events_per_second" not in counters
-
     def test_summary_prints_zero_counters(self):
         report = PerfReport(
             wall_seconds=1.0, sim_seconds=2.0, num_cpis=5, events_processed=100
@@ -178,36 +105,6 @@ class TestPerfReport:
         text = report.summary()
         assert "p2p ops posted" in text
         assert "network messages" in text
-
-    def test_from_dict_round_trips_to_dict(self):
-        report = PerfReport(
-            wall_seconds=1.5, sim_seconds=3.0, num_cpis=5,
-            events_processed=1234, match_probes=40, sends_posted=20,
-            recvs_posted=20, wildcard_recvs=2, wildcard_hits=1,
-            network_messages=20, network_bytes=4096, backend="lowered",
-            plan_build_seconds=0.01, label="rt",
-            extras={"annotation": 7.0},
-        )
-        data = report.to_dict()
-        rebuilt = PerfReport.from_dict(data)
-        assert rebuilt.to_dict() == data
-        assert rebuilt.label == "rt"
-        assert rebuilt.backend == "lowered"
-        assert rebuilt.extras == {"annotation": 7.0}
-        # Derived rates are recomputed, never stored stale.
-        assert rebuilt.events_per_second == report.events_per_second
-
-    def test_from_dict_keeps_unknown_keys_as_extras(self):
-        report = PerfReport(
-            wall_seconds=1.0, sim_seconds=2.0, num_cpis=5, events_processed=10
-        )
-        data = report.to_dict()
-        data["case"] = "case3"
-        data["nodes"] = 59
-        rebuilt = PerfReport.from_dict(data)
-        assert rebuilt.extras == {"case": "case3", "nodes": 59}
-        assert rebuilt.to_dict() == data
-
 
 class TestExecCounters:
     def test_inc_is_thread_safe(self):
@@ -265,6 +162,55 @@ class TestPipelineWiring:
         assert perf.network_bytes == result.network_bytes
         # The indexed matcher's target: ~1 probe per posted operation.
         assert perf.probes_per_message < 2.0
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_perf_counters_match_registry(self, backend):
+        """The perf report and the kernel view read the one registry."""
+        params = STAPParams.tiny()
+        metrics_registry.enable(reset=True)
+        try:
+            result = STAPPipeline(
+                params, TINY_ASSIGNMENT, mode="functional",
+                stream=CPIStream(params, RadarScenario(seed=3)),
+                num_cpis=3, perf=True, backend=backend,
+            ).run()
+            snap = metrics_registry.snapshot()
+            kernels = kernel_counters.stats()
+        finally:
+            metrics_registry.disable()
+            metrics_registry.reset()
+        perf = result.perf
+        assert perf.backend == backend
+        engine = {"backend": backend}
+        assert perf.events_processed == snap.value("des_events_total", engine) > 0
+        assert perf.plan_build_seconds == snap.value(
+            "des_plan_build_seconds_total", engine)
+        for field, series in (
+            ("match_probes", "mpi_match_probes_total"),
+            ("sends_posted", "mpi_sends_total"),
+            ("recvs_posted", "mpi_recvs_total"),
+            ("wildcard_recvs", "mpi_wildcard_recvs_total"),
+            ("wildcard_hits", "mpi_wildcard_hits_total"),
+            ("network_messages", "net_messages_total"),
+            ("network_bytes", "net_bytes_total"),
+        ):
+            assert getattr(perf, field) == snap.value(series), field
+            assert type(getattr(perf, field)) is int, field
+        assert perf.network_bytes == result.network_bytes > 0
+        kernel_series = {
+            name: entry["value"]
+            for name, entry in snap.data["counters"].items()
+            if name.startswith("stap_kernel_")
+        }
+        assert kernels and len(kernel_series) == 3 * len(kernels)
+        for kernel, stats in kernels.items():
+            labels = {"kernel": kernel}
+            assert stats.calls == kernel_series[
+                series_name("stap_kernel_calls_total", labels)] > 0
+            assert stats.seconds == kernel_series[
+                series_name("stap_kernel_seconds_total", labels)]
+            assert stats.flops == kernel_series[
+                series_name("stap_kernel_flops_total", labels)]
 
     def test_perf_run_results_identical_to_plain_run(self):
         """Instrumentation must not perturb the simulation."""

@@ -86,3 +86,15 @@ def test_unmetered_run_records_nothing(tiny_params):
     stream = CPIStream(tiny_params, golden_scenario())
     result = ParallelSTAP(tiny_params, stream, num_cpis=2).run(timeout=120.0)
     assert result.metrics is None
+
+
+def test_worker_kernels_record_into_the_merged_snapshot(metered_result):
+    """Kernels in stage workers record through the same registry path as a
+    serial chain, so the merged snapshot times all seven of them."""
+    from repro.core.assignment import TASK_NAMES
+
+    _, snapshot = metered_result
+    counters = snapshot["counters"]
+    for kernel in TASK_NAMES:
+        series = series_name("stap_kernel_seconds_total", {"kernel": kernel})
+        assert counters[series]["value"] > 0, series
