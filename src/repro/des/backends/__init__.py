@@ -8,8 +8,7 @@ Two backends run the same simulation with the same bit-exact results:
     other backend is pinned against.  It runs only when asked for by name.
 ``lowered``
     Pure-Python, plan-lowered hot path: transfers become pooled slot
-    records driven by :class:`EnginePlan` tables, the matcher packs its
-    keys into integers.  The default.
+    records driven by :class:`EnginePlan` tables.  The default.
 
 ``None`` and ``auto`` both resolve to ``lowered`` on every host.
 Selection flows down from :class:`~repro.core.pipeline.STAPPipeline` and
@@ -19,8 +18,6 @@ are never conflated.
 """
 
 from __future__ import annotations
-
-import time as _time
 
 from repro.des.engine import Simulator
 from repro.des.backends.lowered import LoweredNetwork, LoweredSimulator
@@ -106,15 +103,6 @@ def get_backend(name: str | None) -> EngineBackend:
     return _BACKENDS[resolve_backend(name)]()
 
 
-def timed_plan(backend: EngineBackend, mesh, cost, contention):
-    """Build the backend's plan, stamping wall-clock build time onto it."""
-    t0 = _time.perf_counter()
-    plan = backend.build_plan(mesh, cost, contention)
-    if plan is not None:
-        plan.build_seconds = _time.perf_counter() - t0
-    return plan
-
-
 __all__ = [
     "ENGINE_SCHEMA",
     "BACKEND_NAMES",
@@ -129,5 +117,4 @@ __all__ = [
     "compiled_available",
     "resolve_backend",
     "get_backend",
-    "timed_plan",
 ]

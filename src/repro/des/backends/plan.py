@@ -2,9 +2,8 @@
 
 The lowered backend follows the PyOP2 pattern: everything the hot loop
 would otherwise recompute per event — mesh hop distances, wormhole header
-latencies, port identities, match-key encodings — is computed *once* per
-run into preallocated numpy tables, and the event loop then runs off plain
-array indexing.
+latencies, port identities — is computed *once* per run into preallocated
+numpy tables, and the event loop then runs off plain array indexing.
 
 The plan mirrors :class:`repro.stap.plan.KernelPlan` one layer down: where
 the kernel plan captures CPI-invariant numeric factors, the engine plan
@@ -29,10 +28,10 @@ from repro.machine.cost_model import NetworkCostModel
 from repro.machine.mesh import Mesh2D
 from repro.machine.network import ContentionMode
 
-#: Match keys pack ``tag`` into the low bits of one integer; tags must stay
-#: below this bound for the packed matcher (the pipeline's tags are small
-#: CPI/edge indices, far below it).  Larger tags are rejected with a clear
-#: error pointing at the ``python`` backend.
+#: Match keys pack ``tag`` into the low bits of one integer on every engine,
+#: so tags must stay below this bound (the pipeline's ``cpi*16 + code`` tags
+#: and the collectives' ``2**20 + k`` tags sit far below it; MPI itself only
+#: guarantees ``MPI_TAG_UB >= 32767``).  Larger tags raise ``MPIError``.
 TAG_BITS = 22
 TAG_LIMIT = 1 << TAG_BITS
 

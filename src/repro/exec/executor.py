@@ -224,10 +224,6 @@ def _execute(
                metrics: Optional[dict] = None) -> None:
         if error is None and store is not None and keys[index] is not None:
             store.put(keys[index], result)
-        if metrics is not None:
-            # Worker snapshots fold into the parent registry as they land,
-            # so the merged totals match what a serial sweep records.
-            metrics_registry.merge(metrics)
         note(
             PointOutcome(
                 index=index,
@@ -272,6 +268,11 @@ def _execute(
                         None, traceback.format_exc(), 0.0, None,
                     )
                 settle(index, result, error, elapsed, metrics)
+    # Worker snapshots fold into the parent registry in point order, not
+    # completion order: float sums then add up exactly as a serial sweep's.
+    for index, _, _ in pending:
+        if outcomes[index].metrics is not None:
+            metrics_registry.merge(outcomes[index].metrics)
     return outcomes  # type: ignore[return-value]
 
 

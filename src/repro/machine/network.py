@@ -69,7 +69,7 @@ class Network:
         self.bytes_sent = 0
         #: Optional :class:`~repro.obs.TraceSink` receiving per-resource
         #: busy intervals and contention-wait stats.  When None (default)
-        #: transfers take the uninstrumented fast path unchanged.
+        #: the transfer chain records nothing.
         self.obs = None
 
     # -- resource lookup (lazy: a 321-node mesh has ~2500 links) --------------
@@ -124,9 +124,6 @@ class Network:
         return done
 
     def _begin_transfer(self, src: int, dst: int, nbytes: int, done: Event) -> None:
-        if self.obs is not None:
-            self._begin_transfer_obs(src, dst, nbytes, done)
-            return
         sim = self.sim
         if src == dst:
             delay = sim.pooled_timeout(self.cost.per_byte_s * nbytes)
@@ -162,9 +159,21 @@ class Network:
 
         hold_time = header + occupancy
         index = 0
+        # With a sink attached, the chain also stamps per-resource waits and
+        # the hold interval.  It schedules the same events in the same order
+        # either way, so virtual timestamps stay bit-identical when traced.
+        obs = self.obs
+        waits = [0.0] * len(holds) if obs is not None else None
+        stamp = 0.0  # when the last request was made; at the end, acquired
 
         def acquire_next(_ev) -> None:
-            nonlocal index
+            nonlocal index, stamp
+            if waits is not None:
+                now = sim.now
+                if index:
+                    # The previous resource was just granted.
+                    waits[index - 1] = now - stamp
+                stamp = now
             if index < len(holds):
                 res = holds[index]
                 index += 1
@@ -177,77 +186,11 @@ class Network:
         def finish(_ev) -> None:
             for res in reversed(holds):
                 res.release()
-            done.succeed()
-
-        acquire_next(None)
-
-    def _begin_transfer_obs(self, src: int, dst: int, nbytes: int, done: Event) -> None:
-        """Observed twin of :meth:`_begin_transfer`.
-
-        Schedules the *same* events in the same order at the same times —
-        the only additions are local timestamp reads and sink appends, so
-        virtual timestamps stay bit-identical with observability on.
-        """
-        sim = self.sim
-        obs = self.obs
-        if src == dst:
-            delay = sim.pooled_timeout(self.cost.per_byte_s * nbytes)
-            delay.callbacks.append(lambda _ev: done.succeed())
-            return
-
-        occupancy = self._occupancy_cache.get(nbytes)
-        if occupancy is None:
-            occupancy = self._occupancy_cache[nbytes] = self.cost.occupancy(nbytes)
-
-        if self.contention is ContentionMode.NONE:
-            hops = self.mesh.hop_distance(src, dst)
-            delay = sim.pooled_timeout(self.cost.point_to_point(nbytes, hops))
-            delay.callbacks.append(lambda _ev: done.succeed())
-            return
-
-        route = self._route_cache.get((src, dst))
-        if route is None:
-            hops = self.mesh.hop_distance(src, dst)
-            if self.contention is ContentionMode.ENDPOINT:
-                holds = [self._ejection_port(dst), self._injection_port(src)]
-            else:
-                holds = [self._injection_port(src), self._ejection_port(dst)]
-                holds.extend(self._link(l) for l in self.mesh.route(src, dst))
-                holds.sort(key=lambda r: r.name)
-            header = self.cost.startup_s + self.cost.per_hop_s * hops
-            route = self._route_cache[(src, dst)] = (holds, header)
-        holds, header = route
-
-        hold_time = header + occupancy
-        index = 0
-        waits = [0.0] * len(holds)
-        requested_at = 0.0
-
-        def acquire_next(_ev) -> None:
-            nonlocal index, requested_at
-            if index:
-                # The previous resource was just granted.
-                waits[index - 1] = sim.now - requested_at
-            if index < len(holds):
-                res = holds[index]
-                index += 1
-                requested_at = sim.now
-                res.request().callbacks.append(acquire_next)
-                return
-            acquired_at = sim.now
-            delay = sim.pooled_timeout(hold_time)
-
-            def finish(_ev) -> None:
+            if waits is not None:
                 released_at = sim.now
-                for res in reversed(holds):
-                    res.release()
                 for res, wait in zip(holds, waits):
-                    obs.record_link_hold(
-                        res.name, acquired_at, released_at, nbytes, wait
-                    )
-                done.succeed()
-
-            delay.callbacks.append(finish)
+                    obs.record_link_hold(res.name, stamp, released_at, nbytes, wait)
+            done.succeed()
 
         acquire_next(None)
 

@@ -42,6 +42,14 @@ from repro.mpi.datatypes import Message, payload_nbytes, ANY_SOURCE, ANY_TAG
 from repro.mpi.request import SendRequest, RecvRequest
 
 
+def _tag_error(tag: int) -> MPIError:
+    """Matcher keys pack the tag into the low TAG_BITS bits."""
+    return MPIError(
+        f"tag {tag} is out of range: simulated MPI tags must be "
+        f"below TAG_LIMIT = 2**{TAG_BITS} ({TAG_LIMIT})"
+    )
+
+
 class _PendingSend:
     """A posted send waiting for its matching receive."""
 
@@ -95,7 +103,7 @@ class World:
         eager_threshold: int = 16 * 1024,
         backend=None,
     ):
-        from repro.des.backends import EngineBackend, get_backend, timed_plan
+        from repro.des.backends import EngineBackend, get_backend
 
         if num_ranks < 1:
             raise MPIError(f"world needs at least 1 rank, got {num_ranks}")
@@ -106,8 +114,8 @@ class World:
             backend = get_backend(backend if backend is not None else sim.backend)
         self.backend = backend.name
         #: Lowered per-run tables (None on the reference backend).
-        self.engine_plan = timed_plan(
-            backend, machine.mesh, machine.network_cost, contention
+        self.engine_plan = backend.build_plan(
+            machine.mesh, machine.network_cost, contention
         )
         self.network: Network = backend.create_network(
             sim, machine.mesh, machine.network_cost, contention, self.engine_plan
@@ -130,17 +138,15 @@ class World:
         # sequence number per operation ties the structures together and
         # preserves MPI's earliest-posted / non-overtaking semantics.
         # Receives with a wildcard go to a per-destination side queue that
-        # stays tiny (the pipeline itself never posts wildcards).
-        #   exact key: (context_id, dst_world, src_world, tag)
-        #   dest key:  (context_id, dst_world)
-        # With an engine plan, both keys are packed into single integers
-        # (tag in the low TAG_BITS) — one int hash per matcher probe
-        # instead of a tuple allocation plus four hashes.
+        # stays tiny (the pipeline itself never posts wildcards).  Both
+        # keys are packed into single integers — one int hash per matcher
+        # probe instead of a tuple allocation plus four hashes:
+        #   dest key:  context_id * num_ranks + dst_world
+        #   exact key: (dest_key * num_ranks + src_world) << TAG_BITS | tag
         self._sends_exact: dict = {}
         self._send_keys: dict = {}
         self._recvs_exact: dict = {}
         self._recvs_wild: dict = {}
-        self._packed = self.engine_plan is not None
         #: Matching-probe counter: queue entries examined while matching
         #: (the figure the indexed fast path drives toward ~1 per message).
         self.match_probes = 0
@@ -202,6 +208,8 @@ class World:
         payload: Any,
         nbytes: int,
     ) -> SendRequest:
+        if tag >= TAG_LIMIT:
+            raise _tag_error(tag)
         sim = self.sim
         request = SendRequest(sim, dest=dst_world, tag=tag, nbytes=nbytes)
         message = Message(
@@ -213,16 +221,9 @@ class World:
             pending.record = self.obs.new_message(
                 src_world, dst_world, tag, nbytes, self.sim.now
             )
-        if self._packed:
-            ranks = self.num_ranks
-            dest_key = context_id * ranks + dst_world
-            if tag < TAG_LIMIT:
-                exact_key = ((dest_key * ranks + src_world) << TAG_BITS) | tag
-            else:
-                exact_key = self._pack_key(dest_key, src_world, tag)  # raises
-        else:
-            dest_key = (context_id, dst_world)
-            exact_key = (context_id, dst_world, src_world, tag)
+        ranks = self.num_ranks
+        dest_key = context_id * ranks + dst_world
+        exact_key = ((dest_key * ranks + src_world) << TAG_BITS) | tag
         probes = 0
 
         # Emptied queues are left in their dicts (falsy, so every guard
@@ -273,23 +274,14 @@ class World:
     def _post_recv(
         self, context_id: int, dst_world: int, source: int, tag: int
     ) -> RecvRequest:
+        if tag >= TAG_LIMIT:
+            raise _tag_error(tag)
         request = RecvRequest(self.sim, source=source, tag=tag)
         self.recvs_posted += 1
 
-        packed = self._packed
-        if packed:
-            dest_key = context_id * self.num_ranks + dst_world
-        else:
-            dest_key = (context_id, dst_world)
-
+        dest_key = context_id * self.num_ranks + dst_world
         if source != ANY_SOURCE and tag != ANY_TAG:
-            if packed:
-                if tag < TAG_LIMIT:
-                    exact_key = ((dest_key * self.num_ranks + source) << TAG_BITS) | tag
-                else:
-                    exact_key = self._pack_key(dest_key, source, tag)  # raises
-            else:
-                exact_key = (context_id, dst_world, source, tag)
+            exact_key = ((dest_key * self.num_ranks + source) << TAG_BITS) | tag
             queue = self._sends_exact.get(exact_key)
             if queue:
                 self.match_probes += 1
@@ -313,11 +305,8 @@ class World:
         if keys:
             for key in keys:
                 self.match_probes += 1
-                if packed:
-                    cand_src = (key >> TAG_BITS) % self.num_ranks
-                    cand_tag = key & (TAG_LIMIT - 1)
-                else:
-                    cand_src, cand_tag = key[2], key[3]
+                cand_src = (key >> TAG_BITS) % self.num_ranks
+                cand_tag = key & (TAG_LIMIT - 1)
                 if request.matches(cand_src, cand_tag):
                     front = self._sends_exact[key][0]
                     if best is None or front.seq < best.seq:
@@ -334,16 +323,6 @@ class World:
             (request, next(self._send_seq))
         )
         return request
-
-    def _pack_key(self, dest_key: int, src_world: int, tag: int) -> int:
-        """One-integer (context, dst, src, tag) key for the lowered matcher."""
-        if tag >= TAG_LIMIT:
-            raise MPIError(
-                f"tag {tag} exceeds the lowered matcher's packed-key bound "
-                f"({TAG_LIMIT - 1}); use the 'python' simulator backend for "
-                "arbitrarily large tags"
-            )
-        return ((dest_key * self.num_ranks + src_world) << TAG_BITS) | tag
 
     def _discard_send_key(self, dest_key, exact_key) -> None:
         keys = self._send_keys.get(dest_key)

@@ -47,13 +47,13 @@ from repro.des.backends import (
     compiled_available,
     get_backend,
     resolve_backend,
-    timed_plan,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.exec.cache import CACHE_SCHEMA, cache_key, engine_fingerprint
 from repro.exec.point import SimPoint
 from repro.machine import afrl_paragon
 from repro.mpi import ANY_SOURCE, ANY_TAG, World
+from repro.obs import TraceSink
 
 pytestmark = pytest.mark.backends
 
@@ -190,16 +190,60 @@ class TestEnginePlan:
         assert backend.build_plan(
             machine.mesh, machine.network_cost, "endpoint"
         ) is None
-        assert timed_plan(
-            backend, machine.mesh, machine.network_cost, "endpoint"
-        ) is None
 
-    def test_timed_plan_stamps_build_seconds(self, machine):
-        plan = timed_plan(
-            get_backend("lowered"), machine.mesh, machine.network_cost, "endpoint"
+    def test_build_plan_stamps_build_seconds(self, machine):
+        plan = get_backend("lowered").build_plan(
+            machine.mesh, machine.network_cost, "endpoint"
         )
-        assert plan is not None
         assert plan.build_seconds > 0.0
+
+
+# -- what the lowered engine does not serve ------------------------------------------
+class TestLoweredEngineScope:
+    """While a lowered network is bound, the lowered engine only drains to
+    completion; everything else is a named error pointing at ``python``."""
+
+    @staticmethod
+    def _world(contention="endpoint"):
+        sim = get_backend("lowered").create_simulator()
+        world = World(sim, afrl_paragon(), num_ranks=2, contention=contention)
+        return sim, world
+
+    @pytest.mark.parametrize("stop", ["time", "event"])
+    def test_run_until_is_a_named_error(self, stop):
+        sim, _world = self._world()
+        until = 1.0 if stop == "time" else sim.timeout(0.5)
+        with pytest.raises(SimulationError, match=r"run\(until=\.\.\.\).*'python'"):
+            sim.run(until=until)
+
+    def test_step_is_a_named_error(self):
+        sim, _world = self._world()
+        sim.timeout(0.5)
+        with pytest.raises(SimulationError, match=r"step\(\).*'python'"):
+            sim.step()
+
+    def test_second_world_is_a_named_error(self):
+        sim, _world = self._world()
+        with pytest.raises(SimulationError, match="one lowered network"):
+            World(sim, afrl_paragon(), num_ranks=2)
+
+    def test_links_binds_no_network_and_honours_until(self):
+        delivered = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.isend(None, dest=1, tag=0, nbytes=64 * 1024)
+            else:
+                yield ctx.irecv(source=0, tag=0)
+                delivered.append(ctx.wtime())
+
+        sim, world = self._world("links")
+        world.spawn_all(program)
+        assert sim.run(until=1e-6) is None
+        assert sim.now == 1e-6 and not delivered
+        sim.step()
+        sim.run()
+        assert len(delivered) == 1 and world.network.messages_sent == 1
 
 
 # -- golden Table 7 case 1 bit-identity ----------------------------------------------
@@ -300,7 +344,7 @@ def traffic_patterns(draw):
                 st.integers(min_value=0, max_value=num_ranks - 1),  # src
                 st.integers(min_value=0, max_value=num_ranks - 1),  # dst
                 st.integers(min_value=0, max_value=3),  # tag
-            ).filter(lambda m: m[0] != m[1]),
+            ),
             min_size=1,
             max_size=20,
         )
@@ -308,11 +352,14 @@ def traffic_patterns(draw):
     return num_ranks, messages
 
 
-def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
+def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
+                 traced=False):
     """One random program on one backend; returns its full observable trace.
 
     Message sizes straddle the eager threshold so both transfer protocols
-    (and, under ENDPOINT contention, port queueing) are exercised.
+    (and, under ENDPOINT and LINKS contention, port queueing) are
+    exercised.  ``traced`` attaches a :class:`TraceSink` to the world and
+    the network the way :meth:`STAPPipeline.run` does.
     """
     sends_by_rank = defaultdict(list)
     expected_by_dst = defaultdict(list)
@@ -327,6 +374,10 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
         sim, afrl_paragon(), num_ranks=num_ranks,
         contention=contention, backend=engine,
     )
+    if traced:
+        sink = TraceSink()
+        sink.bind(sim)
+        world.obs = world.network.obs = sink
     deliveries = []
 
     def program(ctx):
@@ -365,25 +416,28 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard):
 class TestBackendEquivalence:
     @given(
         traffic_patterns(),
-        st.sampled_from(("none", "endpoint")),
+        st.sampled_from(("none", "endpoint", "links")),
+        st.booleans(),
         st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_event_sequences_identical_across_backends(
-        self, pattern, contention, use_wildcard
+        self, pattern, contention, use_wildcard, traced
     ):
-        """Same random program, every backend: identical deliveries (order,
-        payload, and receipt timestamp), identical final clock, identical
-        event and schedule-sequence counts, identical wire totals."""
+        """Same random program (self-sends included), every backend, traced
+        or not: identical deliveries (order, payload, and receipt
+        timestamp), identical final clock, identical event and
+        schedule-sequence counts, identical wire totals — all equal to the
+        untraced reference run."""
         num_ranks, messages = pattern
         reference = _run_traffic(
             "python", num_ranks, messages, contention, use_wildcard
         )
-        for backend in FAST_BACKENDS:
+        for backend in BACKEND_NAMES if traced else FAST_BACKENDS:
             got = _run_traffic(
-                backend, num_ranks, messages, contention, use_wildcard
+                backend, num_ranks, messages, contention, use_wildcard, traced
             )
-            assert got == reference, f"backend {backend} diverged"
+            assert got == reference, f"backend {backend} (traced={traced}) diverged"
 
 
 # -- cache keys ----------------------------------------------------------------------

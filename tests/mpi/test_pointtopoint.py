@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.des import Simulator
+from repro.des.backends import BACKEND_NAMES, TAG_LIMIT, get_backend
 from repro.errors import MPIError
 from repro.machine import afrl_paragon
 from repro.mpi import World, ANY_SOURCE, ANY_TAG
@@ -234,3 +235,59 @@ class TestWorldValidation:
         world.spawn_all(program)
         with pytest.raises(DeadlockError):
             sim.run()
+
+
+class TestTagBound:
+    """Matcher keys pack the tag into TAG_BITS on every engine, so the
+    bound is one rule for both: tags below TAG_LIMIT work, larger ones
+    are a named error at posting time."""
+
+    @staticmethod
+    def _world(backend):
+        engine = get_backend(backend)
+        sim = engine.create_simulator()
+        return sim, World(sim, afrl_paragon(), num_ranks=2, backend=engine)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_tag_at_the_limit_is_rejected(self, backend):
+        _sim, world = self._world(backend)
+        with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
+            world.comm.isend(None, dest=1, tag=TAG_LIMIT, nbytes=8, src=0)
+        for source in (0, ANY_SOURCE):
+            with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
+                world.comm.irecv(source=source, tag=TAG_LIMIT, dst=1)
+        assert world.outstanding_operations() == 0
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_largest_tag_round_trips(self, backend):
+        tag = TAG_LIMIT - 1
+        got = {}
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.wait_all([
+                    ctx.isend("exact", dest=1, tag=tag),
+                    ctx.isend("wild", dest=1, tag=tag),
+                ])
+            else:
+                got["exact"] = yield ctx.irecv(source=0, tag=tag)
+                got["wild"] = yield ctx.irecv(source=ANY_SOURCE, tag=tag)
+
+        sim, world = self._world(backend)
+        world.spawn_all(program)
+        sim.run()
+        assert (got["exact"].payload, got["exact"].tag) == ("exact", tag)
+        assert (got["wild"].payload, got["wild"].source, got["wild"].tag) == (
+            "wild", 0, tag
+        )
+        assert world.outstanding_operations() == 0
+
+    def test_reserved_collective_tags_fit(self):
+        from repro.mpi import collectives
+
+        reserved = [
+            value for name, value in vars(collectives).items()
+            if name.startswith("_TAG_") or name == "COLLECTIVE_TAG_BASE"
+        ]
+        assert len(reserved) == 8
+        assert max(reserved) < TAG_LIMIT
