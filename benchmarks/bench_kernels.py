@@ -367,7 +367,6 @@ def main(argv=None) -> int:
     results = measure_all(STAPParams.paper(), "paper")
     _print_results(results)
     _merge_results(results)
-    print(f"wrote {RESULTS_PATH}")
     return 0
 
 

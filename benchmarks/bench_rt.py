@@ -242,7 +242,6 @@ def test_rt_smoke():
     print()
     _print_summary(results)
     _merge_results({"rt": results})
-    print(f"wrote {RESULTS_PATH}")
 
     sweep = results["worker_sweep"]
     assert all(r["num_cpis"] == NUM_CPIS for r in sweep)
@@ -268,7 +267,6 @@ def main(argv=None) -> int:
     results = measure_all()
     _print_summary(results)
     _merge_results({"rt": results})
-    print(f"wrote {RESULTS_PATH}")
     return 0
 
 

@@ -128,11 +128,17 @@ def _scaling_configs() -> list[tuple[str, object, object]]:
 
 
 def measure_backend_scaling(num_cpis: int = SCALING_CPIS) -> list[dict]:
-    """Events/s of every available backend across the five machine scales."""
+    """Events/s of every available backend across the five machine scales.
+
+    Each lowered record carries ``speedup_vs_python``: its drain-time
+    ratio against the reference engine on the same configuration, taken
+    within this run.
+    """
     from repro.des.backends import available_backends
 
     records = []
     for label, assignment, machine in _scaling_configs():
+        reference = None
         for backend in available_backends():
             pipeline = STAPPipeline(
                 STAPParams.paper(), assignment, machine=machine,
@@ -145,8 +151,26 @@ def measure_backend_scaling(num_cpis: int = SCALING_CPIS) -> list[dict]:
                 ranks=assignment.total_nodes,
                 makespan=result.makespan,
             )
+            if backend == "python":
+                reference = record["wall_seconds"]
+            elif reference:
+                record["speedup_vs_python"] = reference / record["wall_seconds"]
             records.append(record)
     return records
+
+
+def _host_facts() -> dict:
+    """The facts that decide a simulator-speed measurement on this host."""
+    import platform
+
+    from repro.des.backends import compiled_available
+
+    return {
+        "usable_cpus": _usable_cpus(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "despeed_built": compiled_available(),
+    }
 
 
 def measure_all_cases() -> list[dict]:
@@ -279,7 +303,6 @@ def test_simspeed_smoke():
     for record in runs:
         _print_record(record)
     _merge_results({"runs": runs})
-    print(f"wrote {RESULTS_PATH}")
     assert {r["case"] for r in runs} == set(CASES)
     assert elapsed < 60.0, f"smoke benchmark took {elapsed:.1f}s (budget 60s)"
     assert all(r["probes_per_message"] < 2.0 for r in runs)
@@ -288,13 +311,13 @@ def test_simspeed_smoke():
 @pytest.mark.bench_smoke
 @pytest.mark.backends
 def test_backend_speed_guard():
-    """The lowered core must not be slower than the reference engine.
+    """The lowered core must stay well ahead of the reference engine.
 
-    Table 7 case 1 (236 nodes) is the scale the backends exist for; the
-    acceptance bar is >= 2x, but on a noisy shared host this guard asserts
-    the conservative invariant (lowered >= python events/s, best of two
-    interleaved trials) so it never flakes while still catching a lowered
-    core that regressed onto the slow path.
+    Table 7 case 1 (236 nodes) is the scale the backends exist for.  The
+    guard is a within-run ratio — lowered events/s at least 1.5x the
+    reference's, best of two interleaved trials — so host speed cancels
+    out, while a lowered run that fell back onto the per-message Request
+    path (which schedules through the reference transfer chain) fails it.
     """
     trials = {"python": [], "lowered": []}
     for _ in range(2):
@@ -310,9 +333,9 @@ def test_backend_speed_guard():
         f"case1 events/s: python {python_best:9.0f}, lowered {lowered_best:9.0f} "
         f"({ratio:.2f}x)"
     )
-    assert lowered_best >= python_best, (
-        f"lowered backend slower than reference: {lowered_best:.0f} vs "
-        f"{python_best:.0f} events/s"
+    assert ratio >= 1.5, (
+        f"lowered backend only {ratio:.2f}x the reference: {lowered_best:.0f} "
+        f"vs {python_best:.0f} events/s (the guard needs >= 1.5x)"
     )
 
 
@@ -527,8 +550,9 @@ def main(argv=None) -> int:
             f"{record['backend']:>8}: {record['wall_seconds']:6.2f} s wall, "
             f"{record['events_per_second']:9.0f} events/s"
         )
-    _merge_results({"backends": {"num_cpis": SCALING_CPIS, "runs": scaling}})
-    print(f"wrote {RESULTS_PATH}")
+    _merge_results({"backends": {
+        "num_cpis": SCALING_CPIS, "host": _host_facts(), "runs": scaling,
+    }})
     return 0
 
 

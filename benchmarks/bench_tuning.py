@@ -255,7 +255,6 @@ def test_tuning_smoke():
           f"({record['tuned_vs_equations_speedup']:.2f}x), "
           f"{record['points_simulated']} simulated")
     _merge_results({"tuning_smoke": record})
-    print(f"wrote {RESULTS_PATH}")
 
     assert result.points_simulated > 0
     assert result.throughput_gain >= 1.10
@@ -272,7 +271,6 @@ def main(argv=None) -> int:
     _print_summary(results)
     _assert_acceptance(results)
     _merge_results({"tuning": results})
-    print(f"wrote {RESULTS_PATH}")
     return 0
 
 

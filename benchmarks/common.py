@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 from repro import Assignment, STAPParams
@@ -37,6 +39,17 @@ NUM_CPIS = 25
 CAMPAIGN_DIR_ENV = "REPRO_CAMPAIGN_DIR"
 
 _campaign_store = None
+
+#: Environment variable naming where runs under pytest write their merged
+#: ``BENCH_*.json`` copies (default: a fresh temporary directory per
+#: process).  Only the plain-script entry points rewrite the committed
+#: files; a smoke run leaves the working tree clean.
+BENCH_OUT_ENV = "REPRO_BENCH_OUT"
+
+#: Per process: the results directory of pytest runs, and the files
+#: already seeded there from the committed generation.
+_bench_out = None
+_seeded: set = set()
 
 
 def bench_store():
@@ -91,8 +104,34 @@ def run_case(assignment: Assignment, measured: bool = True) -> PointResult:
     return _run_cached(assignment.counts(), measured)
 
 
+def _results_path(path: Path) -> Path:
+    """Where a merge writes: ``path`` itself from a plain script; under
+    pytest, a copy in ``$REPRO_BENCH_OUT`` (or a temporary directory),
+    seeded once per process from the committed ``path``."""
+    global _bench_out
+    if "PYTEST_CURRENT_TEST" not in os.environ:
+        return path
+    if _bench_out is None:
+        _bench_out = Path(
+            os.environ.get(BENCH_OUT_ENV) or tempfile.mkdtemp(prefix="repro-bench-")
+        )
+        _bench_out.mkdir(parents=True, exist_ok=True)
+    copy = _bench_out / path.name
+    if path.name not in _seeded:
+        _seeded.add(path.name)
+        if path.exists():
+            shutil.copyfile(path, copy)
+        else:
+            copy.unlink(missing_ok=True)
+    return copy
+
+
 def merge_results(path, updates: dict, tolerance: float = 0.10) -> dict:
     """Merge one section into a ``BENCH_*.json`` file, gating the update.
+
+    Under pytest the merge and its gate run on a copy (see
+    :func:`_results_path`), so smoke runs never rewrite the committed
+    baselines.
 
     When the file already holds a previous generation, the merged document
     is diffed against it with :mod:`repro.obs.regress` and the pass/fail
@@ -102,7 +141,7 @@ def merge_results(path, updates: dict, tolerance: float = 0.10) -> dict:
     the file to judge (``python -m repro.obs.regress old new`` gives the
     same table with a hard exit code for CI).
     """
-    path = Path(path)
+    path = _results_path(Path(path))
     existing = {}
     if path.exists():
         try:
@@ -119,6 +158,7 @@ def merge_results(path, updates: dict, tolerance: float = 0.10) -> dict:
               f"(tolerance {tolerance * 100:.0f}%)")
         print(report.table())
     path.write_text(json.dumps(merged, indent=2) + "\n")
+    print(f"wrote {path}")
     return merged
 
 

@@ -29,7 +29,7 @@ from repro.core.assignment import Assignment
 from repro.core.metrics import PipelineMetrics, TaskMetrics, steady_state_slice
 from repro.core.pipeline import STAPPipeline
 from repro.core.task import Collector
-from repro.des import Simulator
+from repro.des.backends import get_backend, resolve_backend
 from repro.errors import ConfigurationError
 from repro.machine import Machine, afrl_paragon
 from repro.mpi import Communicator, World
@@ -73,9 +73,12 @@ class ReplicatedSTAPPipeline:
         num_cpis: int = 24,
         input_rate: Optional[float] = None,
         contention: str = "endpoint",
+        backend: Optional[str] = None,
     ):
         """``num_cpis`` is the *global* CPI count (must divide by replicas);
-        ``input_rate`` the global radar rate (None = self-paced probing)."""
+        ``input_rate`` the global radar rate (None = self-paced probing);
+        ``backend`` the simulator core, resolved as
+        :class:`~repro.core.pipeline.STAPPipeline` resolves it."""
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
         if num_cpis % replicas != 0:
@@ -90,16 +93,20 @@ class ReplicatedSTAPPipeline:
         self.num_cpis = num_cpis
         self.input_rate = input_rate
         self.contention = contention
+        #: The resolved, concrete backend the replicas run on.
+        self.backend = resolve_backend(backend)
 
     def run(self) -> ReplicationResult:
         """Simulate all replicas concurrently; aggregate the measurements."""
         nodes = self.assignment.total_nodes
-        sim = Simulator()
+        engine = get_backend(self.backend)
+        sim = engine.create_simulator()
         world = World(
             sim,
             self.machine,
             num_ranks=self.replicas * nodes,
             contention=self.contention,
+            backend=engine,
         )
         local_cpis = self.num_cpis // self.replicas
         collectors = []
@@ -156,6 +163,7 @@ class ReplicatedSTAPPipeline:
             num_cpis=self.num_cpis,
             input_rate=probe.aggregate_throughput,
             contention=self.contention,
+            backend=self.backend,
         )
         result = paced.run()
         result.aggregate_throughput = probe.aggregate_throughput

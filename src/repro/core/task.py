@@ -29,7 +29,7 @@ payloads).
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.core.layout import PipelineLayout
 from repro.core.metrics import TaskTiming
@@ -125,10 +125,9 @@ class PipelineTask(abc.ABC):
         #: iteration records its span tree (one ``is None`` check per
         #: iteration when off — the timestamps are read either way).
         self._obs = obs
-        # Per-edge lookups reused every iteration (lazily built: an edge's
-        # receive sources and unpack charge are static for a given rank).
-        self._recv_sources_cache: Dict[str, list] = {}
-        self._unpack_charge_cache: Dict[str, Optional[tuple]] = {}
+        #: This rank's message schedule, compiled by :meth:`_compile`.
+        self._recv_tables: Dict[str, tuple] = {}
+        self._send_tables: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------ hooks --
     def pre_iteration(self, ctx: RankContext, cpi: int):
@@ -177,47 +176,71 @@ class PipelineTask(abc.ABC):
         """Hook at t3 (CFAR uses it to deliver the detection report)."""
 
     # ----------------------------------------------------------------- helpers --
-    def _recv_sources(self, edge_name: str) -> list:
-        """Static (src local rank, src world rank) pairs for one in-edge."""
-        sources = self._recv_sources_cache.get(edge_name)
-        if sources is None:
-            plan = self.layout.plan(edge_name)
-            sources = self._recv_sources_cache[edge_name] = [
-                (message.src, self.layout.world_rank(plan.src_task, message.src))
-                for message in plan.recvs_of(self.local_rank)
-            ]
-        return sources
+    def _compile(self, ctx: RankContext) -> None:
+        """Compile this rank's message schedule once per run.
+
+        Per in-edge: (source task-local ranks, channels, unpack bytes,
+        unpack strided); per out-edge: (channels, pack bytes, pack
+        strided).  ``compute`` returns each edge's messages in plan order,
+        so the send channels line up with its payloads.
+        """
+        layout = self.layout
+        rank = self.local_rank
+        for edge_name in layout.in_edges(self.name):
+            plan = layout.plan(edge_name)
+            messages = plan.recvs_of(rank)
+            self._recv_tables[edge_name] = (
+                [message.src for message in messages],
+                ctx.recv_channels([
+                    layout.world_rank(plan.src_task, message.src)
+                    for message in messages
+                ]),
+                plan.recv_bytes_of(rank),
+                plan.unpack_strided,
+            )
+        offsets = layout.assignment.rank_offsets()
+        for edge_name in layout.out_edges(self.name):
+            plan = layout.plan(edge_name)
+            messages = plan.sends_of(rank)
+            self._send_tables[edge_name] = (
+                ctx.send_channels([
+                    (offsets[plan.dst_task] + message.dst, message.nbytes)
+                    for message in messages
+                ]),
+                plan.send_bytes_of(rank),
+                plan.pack_strided,
+            )
 
     def _post_recvs(self, ctx: RankContext, cpi: int):
-        """Post irecvs for iteration ``cpi``; returns (edge, src, request)."""
-        entries = []
+        """Post iteration ``cpi``'s receives as one batch."""
+        batch = ctx.batch()
         for edge_name in self.recv_edges(cpi):
             tag = edge_tag(edge_name, self.recv_tag_cpi(edge_name, cpi))
-            for src, src_world in self._recv_sources(edge_name):
-                entries.append((edge_name, src, ctx.irecv(source=src_world, tag=tag)))
-        return entries
+            ctx.post_recvs(batch, self._recv_tables[edge_name][1], tag)
+        return batch
 
-    def _unpack_charges(self, cpi: int) -> list[tuple[int, bool]]:
-        """(nbytes, strided) pairs to charge for assembling the inputs."""
+    def _received(self, ctx: RankContext, cpi: int, batch) -> tuple:
+        """Payloads of a completed receive batch (edge name -> source local
+        rank -> payload), and the (nbytes, strided) unpack charges."""
+        payloads = iter(ctx.batch_payloads(batch))
+        received: Dict[str, Dict[int, Any]] = {}
         charges = []
         for edge_name in self.recv_edges(cpi):
-            charge = self._unpack_charge_cache.get(edge_name, False)
-            if charge is False:
-                plan = self.layout.plan(edge_name)
-                nbytes = plan.recv_bytes_of(self.local_rank)
-                charge = (nbytes, plan.unpack_strided) if nbytes else None
-                self._unpack_charge_cache[edge_name] = charge
-            if charge is not None:
-                charges.append(charge)
-        return charges
+            sources, _channels, nbytes, strided = self._recv_tables[edge_name]
+            if sources:
+                received[edge_name] = {src: next(payloads) for src in sources}
+            if nbytes:
+                charges.append((nbytes, strided))
+        return received, charges
 
     # -------------------------------------------------------------------- loop --
     def run(self, ctx: RankContext):
         """The Figure 10 double-buffered loop (a DES process generator)."""
-        pending_recvs: Dict[int, list] = {}
+        self._compile(ctx)
+        pending_recvs: Dict[int, Any] = {}
         if self.double_buffering:
             pending_recvs[0] = self._post_recvs(ctx, 0)
-        prev_sends: list = []
+        prev_sends = None
         for cpi in range(self.num_cpis):
             yield from self.pre_iteration(ctx, cpi)
             t0 = ctx.wtime()
@@ -230,14 +253,12 @@ class PipelineTask(abc.ABC):
                 # Synchronous ablation: post only this iteration's receives.
                 pending_recvs[cpi] = self._post_recvs(ctx, cpi)
             # Wait for this iteration's receives.
-            entries = pending_recvs.pop(cpi)
-            if entries:
-                yield ctx.wait_all([request for _, _, request in entries])
-            received: Dict[str, Dict[int, Any]] = {}
-            for edge_name, src, request in entries:
-                received.setdefault(edge_name, {})[src] = request.value.payload
+            recvs = pending_recvs.pop(cpi)
+            if recvs:
+                yield ctx.wait_batch(recvs)
+            received, charges = self._received(ctx, cpi, recvs)
             # Unpack (data assembly) — inside the recv segment, as in Fig 10.
-            for nbytes, strided in self._unpack_charges(cpi):
+            for nbytes, strided in charges:
                 yield ctx.copy(nbytes, strided=strided)
             extra = self.extra_recv_seconds(cpi)
             if extra > 0.0:
@@ -251,32 +272,23 @@ class PipelineTask(abc.ABC):
             t2 = ctx.wtime()
 
             # Pack (data collection / reorganization) + post async sends.
-            send_requests = []
-            offsets = self.layout.assignment.rank_offsets()
+            send_batch = ctx.batch()
             for edge_name, messages in sends:
-                plan = self.layout.plan(edge_name)
-                pack_bytes = sum(message.nbytes for message, _ in messages)
+                channels, pack_bytes, strided = self._send_tables[edge_name]
                 if pack_bytes:
-                    yield ctx.copy(pack_bytes, strided=plan.pack_strided)
+                    yield ctx.copy(pack_bytes, strided=strided)
                 tag = edge_tag(edge_name, self.send_tag_cpi(edge_name, cpi))
-                dst_offset = offsets[plan.dst_task]
-                for message, payload in messages:
-                    send_requests.append(
-                        ctx.isend(
-                            payload,
-                            dest=dst_offset + message.dst,
-                            tag=tag,
-                            nbytes=message.nbytes,
-                        )
-                    )
+                ctx.post_sends(
+                    send_batch, channels, tag, [payload for _, payload in messages]
+                )
             # Wait for the previous iteration's sends (outBuf[prev] reusable)
             # — or, without double buffering, for this iteration's own.
-            if not self.double_buffering:
-                prev_sends = send_requests
-                send_requests = []
-            if prev_sends:
-                yield ctx.wait_all(prev_sends)
-            prev_sends = send_requests
+            if self.double_buffering:
+                drained, prev_sends = prev_sends, send_batch
+            else:
+                drained = send_batch
+            if drained:
+                yield ctx.wait_batch(drained)
             t3 = ctx.wtime()
 
             self.collector.record_timing(
@@ -298,4 +310,4 @@ class PipelineTask(abc.ABC):
             self.on_iteration_end(cpi, t3)
         # Drain the final iteration's sends before exiting.
         if prev_sends:
-            yield ctx.wait_all(prev_sends)
+            yield ctx.wait_batch(prev_sends)

@@ -24,6 +24,12 @@ eject-port grant Event                record re-pushed at ``now`` (ACQ1)
 inject-port grant Event               record re-pushed at ``now`` (ACQ2)
 hold-time ``pooled_timeout``          record pushed at ``now+hold`` (RELEASE)
 ``done.succeed()``                    record re-pushed at ``now`` (DELIVER)
+eager ``SendRequest`` completion      batch token pushed at post
+rendezvous ``SendRequest`` completion batch token pushed at DELIVER
+``RecvRequest`` completion            batch token pushed at DELIVER
+``AllOf`` child count (request pop)   token pop decrements ``pending``
+``AllOf.succeed()``                   batch scheduled at wait time or at
+                                      its last token pop
 ====================================  =====================================
 
 A transfer that finds a port busy enqueues without consuming a sequence
@@ -32,13 +38,18 @@ reference ``Resource`` would have scheduled the grant.  Timestamps,
 event order, and every counter therefore match the reference bit for bit;
 the golden and hypothesis backend tests enforce this.
 
+Slot records carry the traffic of :class:`Batch` groups — one iteration's
+compiled sends or receives — which stand in for the per-message Requests
+and the ``AllOf`` over them (the lower rows of the table above).
+
 Scope: a :class:`LoweredSimulator` drives at most one lowered network, and
 while one is bound it only drains to completion — ``run(until=...)`` and
 ``step()`` raise :class:`~repro.errors.SimulationError` (the ``python``
 engine serves them).  The LINKS contention mode, a network on a reference
-simulator, and a run with an observability sink attached all take the
-inherited reference transfer path (on the lowered engine the two paths
-schedule identically, so mixing modes across runs stays bit-identical).
+simulator, a run with an observability sink attached, and every
+``isend``/``irecv`` Request take the inherited reference transfer path (on
+the lowered engine the two paths schedule identically, so mixing modes
+across runs stays bit-identical).
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.des.engine import _POOL_MAX, Simulator
-from repro.des.event import PROCESSED
-from repro.errors import MachineError, SimulationError
+from repro.des.event import PROCESSED, TRIGGERED, Event
+from repro.errors import SimulationError
 from repro.machine.network import ContentionMode, Network
 from repro.des.backends.plan import EnginePlan
 
@@ -75,19 +86,53 @@ class _Transfer:
 
     Instances are heap payloads; the loop recognizes them by exact class
     and advances their state inline instead of running Event callbacks.
+    :meth:`LoweredNetwork.transfer_batched` sets every field but
+    ``wait_since`` (stamped when the record queues for a port).  The
+    delivery targets are the sending batch (None once its eager
+    completion was pushed at post), the receiving batch, the receive's
+    slot in it, and the payload.
     """
 
-    __slots__ = ("stage", "port1", "port2", "hold", "wait_since", "pending", "recv")
+    __slots__ = ("stage", "port1", "port2", "hold", "wait_since",
+                 "send", "recv", "slot", "payload")
 
-    def __init__(self):
-        self.stage = _START
-        self.port1 = 0
-        self.port2 = 0
-        self.hold = 0.0
-        self.wait_since = 0.0
-        #: The pending send and receive request to deliver at _DELIVER.
-        self.pending = None
-        self.recv = None
+
+class Batch(Event):
+    """One iteration's compiled sends or receives, completed as a group.
+
+    The batch is its own reusable token: each request completion the
+    reference path would push is a push of the batch while ``pending``
+    (posted completions not yet popped) is positive, and the loop counts
+    such a pop against it inline.  :meth:`wait` schedules the batch at
+    once when nothing is pending — as an ``AllOf`` over processed
+    requests succeeds at creation — and otherwise the last token pop
+    does; that push, with ``pending`` at zero, is an ordinary Event that
+    resumes the waiter.  Received payloads land in ``payloads`` in
+    posting order.
+    """
+
+    __slots__ = ("pending", "waiting", "size", "payloads")
+
+    def __init__(self, sim):
+        super().__init__(sim, name="batch")
+        self.pending = 0
+        self.waiting = False
+        #: Messages posted into this batch.
+        self.size = 0
+        self.payloads: list = []
+
+    def __len__(self) -> int:
+        return self.size
+
+    def wait(self) -> "Batch":
+        """The event firing once every posted message completed."""
+        if self.pending:
+            self.waiting = True
+        else:
+            self._ok = True
+            self._state = TRIGGERED
+            self.sim._schedule(self)
+        return self
 
 
 class LoweredSimulator(Simulator):
@@ -127,13 +172,13 @@ class LoweredSimulator(Simulator):
         queue = self._queue
         pool = self._timeout_pool
         transfer_cls = _Transfer
+        batch_cls = Batch
         pop = heappop
         push = heappush
         in_use = net._port_in_use
         waiter_tbl = net._port_waiters
         wait_time = net._port_wait_time
         record_pool = net._record_pool
-        deliver = net._deliver
         processed = 0
         seq = self._seq
         try:
@@ -177,13 +222,19 @@ class LoweredSimulator(Simulator):
                         seq += 1
                         push(queue, (time, 1, seq, event))
                     elif stage == _DELIVER:
-                        pending, recv = event.pending, event.recv
-                        event.pending = event.recv = None
+                        # Request completions, in reference order: the
+                        # send (unless completed eagerly), then the receive.
+                        send = event.send
+                        if send is not None:
+                            seq += 1
+                            push(queue, (time, 1, seq, send))
+                        recv = event.recv
+                        recv.payloads[event.slot] = event.payload
+                        seq += 1
+                        push(queue, (time, 1, seq, recv))
+                        event.send = event.recv = event.payload = None
                         if len(record_pool) < _RECORD_POOL_MAX:
                             record_pool.append(event)
-                        self._seq = seq
-                        deliver(pending, recv)
-                        seq = self._seq
                     elif stage == _DELAY:
                         event.stage = _DELAY_DONE
                         seq += 1
@@ -192,6 +243,19 @@ class LoweredSimulator(Simulator):
                         event.stage = _DELIVER
                         seq += 1
                         push(queue, (time, 1, seq, event))
+                    continue
+                if event.__class__ is batch_cls and event.pending:
+                    # A token pop — one request completion of the batch:
+                    # the AllOf child count, and its succeed() once full.
+                    processed += 1
+                    event.pending -= 1
+                    if not event.pending and event.waiting:
+                        event._ok = True
+                        event._state = TRIGGERED
+                        seq += 1
+                        push(queue, (time, 1, seq, event))
+                        if len(queue) > self.heap_peak:
+                            self.heap_peak = len(queue)
                     continue
                 # Generic event: identical to the reference loop, with the
                 # sequence counter handed back for the callback window.
@@ -220,21 +284,22 @@ class LoweredSimulator(Simulator):
 class LoweredNetwork(Network):
     """Plan-driven network scheduler (NONE and ENDPOINT contention).
 
-    Matched transfers run as slot records off :class:`EnginePlan` tables
-    on a :class:`LoweredSimulator`; everything else (the LINKS mode, a
-    reference simulator, observability) inherits the reference path.
+    Compiled batch transfers run as slot records off :class:`EnginePlan`
+    tables on a :class:`LoweredSimulator`; everything else (the LINKS
+    mode, a reference simulator, observability, Request traffic) inherits
+    the reference path.
     """
 
     def __init__(self, sim, mesh, cost_model=None, contention=ContentionMode.ENDPOINT,
                  plan: EnginePlan | None = None):
         super().__init__(sim, mesh, cost_model, contention=contention)
         self.plan = plan
-        self._matched_fast = (
+        self._compiled = (
             plan is not None
             and self.contention in (ContentionMode.NONE, ContentionMode.ENDPOINT)
             and isinstance(sim, LoweredSimulator)
         )
-        if self._matched_fast:
+        if self._compiled:
             if sim._network is not None:
                 raise SimulationError(
                     "a lowered simulator drives one lowered network; create "
@@ -246,101 +311,65 @@ class LoweredNetwork(Network):
             self._port_in_use = bytearray(nports)
             self._port_waiters: list = [None] * nports
             self._port_wait_time = [0.0] * nports
-            #: (src*N + dst) -> {nbytes -> precomputed total delay/hold}.
-            self._edge_memo: dict[int, dict] = {}
             self._record_pool: list[_Transfer] = []
-            #: Delivery callable bound by :class:`~repro.mpi.communicator.World`
-            #: (``bind_deliver``); invoked as ``deliver(pending, recv_req)``.
-            self._deliver = None
-            #: Fast-path flags precomputed off the contention mode.
             self._endpoint = self.contention is ContentionMode.ENDPOINT
-            self._n = plan.num_nodes
             sim._network = self
 
-    def bind_deliver(self, deliver) -> None:
-        """Install the matcher's delivery function for the fast path."""
-        self._deliver = deliver
-
     # -- lowered transfer path -------------------------------------------------
-    def transfer_matched(self, src: int, dst: int, pending, recv_req) -> None:
-        """Matched-transfer fast path: deliver from the slot record.
+    def transfer_plan(self, src: int, dst: int, nbytes: int) -> tuple:
+        """``(nbytes, first stage, port1, port2, hold)`` of one channel.
+
+        Computed once per compiled send channel, from the same IEEE-754
+        expressions as the reference transfer chain.
+        """
+        plan = self.plan
+        if src == dst:
+            # On-node copy: same two-event shape as the reference
+            # (deferral, then the copy delay), no ports.
+            return (nbytes, _DELAY, 0, 0, plan.per_byte_s * nbytes)
+        if not self._endpoint:
+            hops = int(plan.hops[src, dst])
+            return (nbytes, _DELAY, 0, 0, self.cost.point_to_point(nbytes, hops))
+        occupancy = plan.occupancy_memo.get(nbytes)
+        if occupancy is None:
+            occupancy = plan.occupancy_memo[nbytes] = self.cost.occupancy(nbytes)
+        # Ejection port first, then injection; the hold keeps the
+        # reference association order: header + occupancy.
+        return (nbytes, _START, 2 * dst, 2 * src + 1,
+                float(plan.header_s[src, dst]) + occupancy)
+
+    def transfer_batched(self, transfer: tuple, send, payload, recv: Batch,
+                         slot: int) -> None:
+        """Start one matched transfer between compiled batches.
 
         Same schedule as the reference ``transfer()`` plus its
         completion-Event pop — the final record push stands in for
         ``done.succeed()`` (one sequence number, same time and priority)
-        and the ``_DELIVER`` stage runs what the done-event's delivery
-        callback would have — but with no Event, no closure, and no
-        callback-list churn per message.  Only called by the matcher when
-        the lowered path is on and no observability sink is attached.
+        and the ``_DELIVER`` stage pushes the request completions the
+        delivery callback would have — with no Event, closure or Request
+        per message.  ``transfer`` is the channel's :meth:`transfer_plan`;
+        ``send`` the sending batch, or None when its eager completion was
+        already pushed at post.
         """
-        nbytes = pending.message.nbytes
-        if nbytes < 0:
-            raise MachineError(f"negative message size: {nbytes}")
+        pool = self._record_pool
+        record = pool.pop() if pool else _Transfer()
+        nbytes, record.stage, record.port1, record.port2, record.hold = transfer
         self.messages_sent += 1
         self.bytes_sent += nbytes
         sim = self.sim
-        pool = self._record_pool
-        record = pool.pop() if pool else _Transfer()
-        record.pending = pending
-        record.recv = recv_req
-
-        if src != dst and self._endpoint:
-            record.stage = _START
-            record.port1 = 2 * dst  # ejection port (acquired first)
-            record.port2 = 2 * src + 1  # injection port
-            # Memo hit inline (the overwhelmingly common case in steady
-            # state); misses fill the memo through _edge_hold.
-            by_size = self._edge_memo.get(src * self._n + dst)
-            hold = by_size.get(nbytes) if by_size is not None else None
-            record.hold = (
-                hold if hold is not None else self._edge_hold(src, dst, nbytes)
-            )
-        elif src == dst:
-            # On-node copy: same two-event shape as the reference
-            # (deferral, then the copy delay), no ports.
-            record.stage = _DELAY
-            record.hold = self.plan.per_byte_s * nbytes
-        else:
-            record.stage = _DELAY
-            record.hold = self._edge_delay_none(src, dst, nbytes)
+        record.send = send
+        record.recv = recv
+        record.slot = slot
+        record.payload = payload
         # The deferral: one sequence number, exactly like the reference's
         # pooled_timeout(0.0) — same-timestamp operations posted earlier
         # keep their place in the schedule.
         sim._seq += 1
         heappush(sim._queue, (sim._now, 1, sim._seq, record))
 
-    def _edge_hold(self, src: int, dst: int, nbytes: int) -> float:
-        """Header + occupancy for one (src, dst, nbytes) edge, memoized."""
-        edge = src * self.plan.num_nodes + dst
-        by_size = self._edge_memo.get(edge)
-        if by_size is None:
-            by_size = self._edge_memo[edge] = {}
-        hold = by_size.get(nbytes)
-        if hold is None:
-            plan = self.plan
-            occupancy = plan.occupancy_memo.get(nbytes)
-            if occupancy is None:
-                occupancy = plan.occupancy_memo[nbytes] = self.cost.occupancy(nbytes)
-            # Same association order as the reference: header + occupancy.
-            hold = by_size[nbytes] = float(plan.header_s[src, dst]) + occupancy
-        return hold
-
-    def _edge_delay_none(self, src: int, dst: int, nbytes: int) -> float:
-        """Analytic point-to-point time (NONE contention), memoized."""
-        edge = src * self.plan.num_nodes + dst
-        by_size = self._edge_memo.get(edge)
-        if by_size is None:
-            by_size = self._edge_memo[edge] = {}
-        delay = by_size.get(nbytes)
-        if delay is None:
-            delay = by_size[nbytes] = self.cost.point_to_point(
-                nbytes, int(self.plan.hops[src, dst])
-            )
-        return delay
-
     # -- diagnostics -----------------------------------------------------------
     def endpoint_wait_time(self, node: int) -> float:
         total = super().endpoint_wait_time(node)
-        if self._matched_fast:
+        if self._compiled:
             total += self._port_wait_time[2 * node] + self._port_wait_time[2 * node + 1]
         return total

@@ -42,7 +42,7 @@ class Simulator:
         #: Peak event-heap depth observed at :meth:`_schedule` time (one
         #: ``len`` + compare per scheduled event, same always-on budget as
         #: ``events_processed``).  Fast paths that push onto the heap
-        #: directly — eager-send completions, lowered slot records — are
+        #: directly — request completions, lowered slot records — are
         #: not sampled, so this is a tight lower bound on the true peak;
         #: it feeds the ``des_heap_depth_peak`` metrics gauge.
         self.heap_peak: int = 0

@@ -113,10 +113,6 @@ class Event:
         self.sim._schedule(self, delay=delay, priority=NORMAL)
         return self
 
-    # -- engine hooks -------------------------------------------------------
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or hex(id(self))
         return f"<{type(self).__name__} {label} [{self._state}]>"

@@ -41,9 +41,9 @@ class ContentionMode(enum.Enum):
 class Network:
     """Simulated interconnect bound to a :class:`Simulator` and a mesh."""
 
-    #: Whether the matcher may use the backend's matched-transfer fast path
-    #: (``transfer_matched``); only lowered networks override this.
-    _matched_fast = False
+    #: Whether compiled batches may run here (``transfer_batched``); only
+    #: lowered networks override this.
+    _compiled = False
 
     def __init__(
         self,

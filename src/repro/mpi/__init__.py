@@ -9,14 +9,16 @@ from the :mod:`repro.machine` model.
 The subset implemented is the subset the paper's code needs, with matching
 MPI semantics:
 
-* non-blocking point-to-point with tag matching, ``ANY_SOURCE``/``ANY_TAG``
-  wildcards and FIFO (non-overtaking) order per (source, tag);
+* non-blocking point-to-point with exact (source, tag) matching and FIFO
+  (non-overtaking) order per (source, tag);
 * request objects with ``wait`` (yield the request) and ``wait_all``;
-* communicators over arbitrary rank subsets (``World.create_comm``), with
-  isolated matching contexts;
-* collectives: barrier, bcast, gather(v), scatter(v), alltoall(v),
-  reduce/allreduce — implemented over point-to-point with binomial trees,
-  exactly as a portable MPI layer would;
+* batches: one iteration's sends or receives over channels compiled once
+  per run, waited on as a group (Request-free on the lowered engine);
+* communicators over arbitrary rank subsets (``Communicator.create_comm``),
+  with isolated matching contexts;
+* collectives: barrier, bcast, gather, scatter, alltoall(v),
+  reduce/allreduce — implemented over exact-key point-to-point with
+  binomial trees, exactly as a portable MPI layer would;
 * a virtual high-resolution timer (``Wtime``) — the paper's ``MPI_Wtime``.
 
 Example
@@ -38,7 +40,7 @@ Example
     sim.run()
 """
 
-from repro.mpi.datatypes import Message, ANY_SOURCE, ANY_TAG
+from repro.mpi.datatypes import Message
 from repro.mpi.request import Request, SendRequest, RecvRequest, wait_all, wait_any
 from repro.mpi.communicator import World, Communicator
 from repro.mpi.context import RankContext
@@ -46,8 +48,6 @@ from repro.mpi import collectives
 
 __all__ = [
     "Message",
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Request",
     "SendRequest",
     "RecvRequest",

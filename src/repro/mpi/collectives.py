@@ -100,9 +100,11 @@ def gather(
     if ctx.rank == root:
         values: list[Any] = [None] * size
         values[root] = value
-        for _ in range(size - 1):
-            message = yield ctx.irecv(tag=tag)
-            values[message.source] = message.payload
+        # One exact-source receive per rank (SimMPI matches exact keys only).
+        recvs = [(src, ctx.irecv(source=src, tag=tag)) for src in range(size) if src != root]
+        for src, request in recvs:
+            message = yield request
+            values[src] = message.payload
         return values
     yield ctx.isend(value, dest=root, tag=tag, nbytes=nbytes)
     return None

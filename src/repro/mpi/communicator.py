@@ -1,9 +1,10 @@
 """World and Communicator: rank management and point-to-point matching.
 
-Matching semantics follow MPI:
+Matching semantics follow MPI for exact-key traffic — every receive
+names its source and tag, as all of the pipeline's do:
 
-* a receive matches the *earliest* posted, not-yet-matched send whose
-  (source, tag) satisfies its pattern (wildcards allowed);
+* a receive matches the *earliest* posted, not-yet-matched send with its
+  (source, tag), and vice versa — each key is one FIFO;
 * messages between a fixed (source, dest, tag) triple are non-overtaking;
 * each communicator is an isolated matching context (a message sent on one
   communicator can never match a receive on another).
@@ -21,6 +22,11 @@ Transfer protocol, as in real MPI implementations:
   waiting-for-the-sender — exactly the quantity the paper's "recv" columns
   report (Section 7.2: "timing results shown in the tables contain idle
   time for waiting for the corresponding task to complete").
+
+``isend``/``irecv`` build a Request per message.  Batches posted through
+:class:`~repro.mpi.context.RankContext` run compiled on the lowered engine
+with no trace sink — a queue tuple per message, no Request — and as
+Request lists elsewhere.  One World carries one of the two kinds.
 """
 
 from __future__ import annotations
@@ -33,37 +39,30 @@ from typing import Any, Callable, Generator, Optional, Sequence
 import numpy as np
 
 from repro.des import Simulator
+from repro.des.backends.lowered import Batch
 from repro.des.backends.plan import TAG_BITS, TAG_LIMIT
-from repro.des.event import PENDING, TRIGGERED
+from repro.des.event import TRIGGERED
 from repro.errors import MPIError
 from repro.machine.network import Network
 from repro.machine.paragon import Machine
-from repro.mpi.datatypes import Message, payload_nbytes, ANY_SOURCE, ANY_TAG
+from repro.mpi.datatypes import Message, payload_nbytes
 from repro.mpi.request import SendRequest, RecvRequest
 
+_MIXED = (
+    "a World carries either Request traffic (isend/irecv) or compiled "
+    "batches (post_sends/post_recvs), not both"
+)
 
-def _tag_error(tag: int) -> MPIError:
+
+def _check_tag(tag: int) -> None:
     """Matcher keys pack the tag into the low TAG_BITS bits."""
-    return MPIError(
-        f"tag {tag} is out of range: simulated MPI tags must be "
-        f"below TAG_LIMIT = 2**{TAG_BITS} ({TAG_LIMIT})"
-    )
-
-
-class _PendingSend:
-    """A posted send waiting for its matching receive."""
-
-    __slots__ = ("request", "message", "src_world", "dst_world", "seq", "record")
-
-    def __init__(self, request, message, src_world, dst_world, seq):
-        self.request = request
-        self.message = message
-        self.src_world = src_world
-        self.dst_world = dst_world
-        self.seq = seq
-        #: Observability record (post/match/complete stamps); None unless a
-        #: :class:`~repro.obs.TraceSink` is attached to the world.
-        self.record = None
+    if tag < 0:
+        raise MPIError(f"tags must be non-negative, got {tag}")
+    if tag >= TAG_LIMIT:
+        raise MPIError(
+            f"tag {tag} is out of range: simulated MPI tags must be "
+            f"below TAG_LIMIT = 2**{TAG_BITS} ({TAG_LIMIT})"
+        )
 
 
 class World:
@@ -120,8 +119,6 @@ class World:
         self.network: Network = backend.create_network(
             sim, machine.mesh, machine.network_cost, contention, self.engine_plan
         )
-        if self.network._matched_fast:
-            self.network.bind_deliver(self._deliver_matched)
         self.num_ranks = num_ranks
         if placement is None:
             placement = list(range(num_ranks))
@@ -132,33 +129,22 @@ class World:
         self.placement = list(placement)
         self.eager_threshold = int(eager_threshold)
         self._context_counter = itertools.count()
-        self._send_seq = itertools.count()
-        # Matching state.  Sends always carry a concrete (source, tag), so
-        # unmatched sends live in exact-key FIFO queues; one posted-order
-        # sequence number per operation ties the structures together and
-        # preserves MPI's earliest-posted / non-overtaking semantics.
-        # Receives with a wildcard go to a per-destination side queue that
-        # stays tiny (the pipeline itself never posts wildcards).  Both
-        # keys are packed into single integers — one int hash per matcher
-        # probe instead of a tuple allocation plus four hashes:
-        #   dest key:  context_id * num_ranks + dst_world
-        #   exact key: (dest_key * num_ranks + src_world) << TAG_BITS | tag
+        # Matching state: unmatched sends and receives in exact-key FIFO
+        # queues.  The key packs (context, dest, source, tag) into one
+        # integer — one int hash per matcher probe:
+        #   ((context_id * num_ranks + dst_world) * num_ranks + src_world)
+        #       << TAG_BITS | tag
         self._sends_exact: dict = {}
-        self._send_keys: dict = {}
         self._recvs_exact: dict = {}
-        self._recvs_wild: dict = {}
+        #: Whether this world's batches run compiled (decided at the first
+        #: batch; see :meth:`batch`).
+        self._compiled = False
         #: Matching-probe counter: queue entries examined while matching
-        #: (the figure the indexed fast path drives toward ~1 per message).
+        #: (one per matched message on the exact-key FIFO).
         self.match_probes = 0
         #: Point-to-point operations posted (sends, receives).
         self.sends_posted = 0
         self.recvs_posted = 0
-        #: Wildcard traffic: receives posted with ANY_SOURCE/ANY_TAG, and
-        #: matches that involved one.  The pipeline itself posts none, so
-        #: these stay on the cold path; nonzero values flag a workload the
-        #: indexed matcher cannot serve at ~1 probe/op.
-        self.wildcard_recvs = 0
-        self.wildcard_hits = 0
         #: Optional :class:`~repro.obs.TraceSink` recording per-message
         #: post -> match -> complete lifecycles.  Attached by the pipeline;
         #: when None (the default) the matcher pays one ``is None`` check
@@ -194,11 +180,11 @@ class World:
         return self.placement[world_rank]
 
     # -- matching core -------------------------------------------------------------
-    # A receive must match the earliest-posted, not-yet-matched send whose
-    # (source, tag) satisfies its pattern — and vice versa.  With exact-key
-    # FIFO queues the earliest exact candidate is the front of one deque;
-    # wildcard candidates are compared by posted-order sequence number, so
-    # the indexed structures reproduce the linear scan's choices exactly.
+    def key_base(self, context_id: int, dst_world: int, src_world: int) -> int:
+        """Matcher key of a (context, dest, source) channel, tag bits zero."""
+        ranks = self.num_ranks
+        return ((context_id * ranks + dst_world) * ranks + src_world) << TAG_BITS
+
     def _post_send(
         self,
         context_id: int,
@@ -208,59 +194,30 @@ class World:
         payload: Any,
         nbytes: int,
     ) -> SendRequest:
-        if tag >= TAG_LIMIT:
-            raise _tag_error(tag)
+        if self._compiled:
+            raise MPIError(_MIXED)
         sim = self.sim
         request = SendRequest(sim, dest=dst_world, tag=tag, nbytes=nbytes)
         message = Message(
             source=src_world, tag=tag, payload=payload, nbytes=nbytes, sent_at=sim._now
         )
-        pending = _PendingSend(request, message, src_world, dst_world, next(self._send_seq))
-        self.sends_posted += 1
+        record = None
         if self.obs is not None:
-            pending.record = self.obs.new_message(
-                src_world, dst_world, tag, nbytes, self.sim.now
-            )
+            record = self.obs.new_message(src_world, dst_world, tag, nbytes, sim.now)
+        self.sends_posted += 1
         ranks = self.num_ranks
-        dest_key = context_id * ranks + dst_world
-        exact_key = ((dest_key * ranks + src_world) << TAG_BITS) | tag
-        probes = 0
-
-        # Emptied queues are left in their dicts (falsy, so every guard
-        # below still works) — steady-state traffic reuses the same keys,
-        # so this trades a little memory for zero deque churn per message.
-        exact_queue = self._recvs_exact.get(exact_key)
-        exact_cand = exact_queue[0] if exact_queue else None
-        if exact_cand is not None:
-            probes += 1
-        wild_cand = None
-        wild_idx = -1
-        wild_queue = self._recvs_wild.get(dest_key) if self._recvs_wild else None
-        if wild_queue:
-            for idx, entry in enumerate(wild_queue):
-                probes += 1
-                if entry[0].matches(src_world, tag):
-                    wild_cand, wild_idx = entry, idx
-                    break
-        self.match_probes += probes
-
-        if exact_cand is not None and (wild_cand is None or exact_cand[1] < wild_cand[1]):
-            exact_queue.popleft()
-            self._start_transfer(pending, exact_cand[0])
+        key = (((context_id * ranks + dst_world) * ranks + src_world) << TAG_BITS) | tag
+        # Emptied queues are left in their dicts (falsy, so the guards
+        # still work) — steady-state traffic reuses the same keys.
+        recv_queue = self._recvs_exact.get(key)
+        if recv_queue:
+            self.match_probes += 1
+            self._start_transfer(request, message, record, recv_queue.popleft())
             return request
-        if wild_cand is not None:
-            del wild_queue[wild_idx]
-            self.wildcard_hits += 1
-            self._start_transfer(pending, wild_cand[0])
-            return request
-
-        queue = self._sends_exact.get(exact_key)
+        queue = self._sends_exact.get(key)
         if queue is None:
-            queue = self._sends_exact[exact_key] = deque()
-            self._send_keys.setdefault(dest_key, set()).add(exact_key)
-        elif not queue:
-            self._send_keys.setdefault(dest_key, set()).add(exact_key)
-        queue.append(pending)
+            queue = self._sends_exact[key] = deque()
+        queue.append((request, message, record))
         if nbytes <= self.eager_threshold:
             # Eager protocol: the message is buffered by the transport; the
             # sender's buffer is immediately reusable.  (Inlined
@@ -272,141 +229,132 @@ class World:
         return request
 
     def _post_recv(
-        self, context_id: int, dst_world: int, source: int, tag: int
+        self, context_id: int, dst_world: int, src_world: int, tag: int
     ) -> RecvRequest:
-        if tag >= TAG_LIMIT:
-            raise _tag_error(tag)
-        request = RecvRequest(self.sim, source=source, tag=tag)
+        if self._compiled:
+            raise MPIError(_MIXED)
+        request = RecvRequest(self.sim, source=src_world, tag=tag)
         self.recvs_posted += 1
-
-        dest_key = context_id * self.num_ranks + dst_world
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            exact_key = ((dest_key * self.num_ranks + source) << TAG_BITS) | tag
-            queue = self._sends_exact.get(exact_key)
-            if queue:
-                self.match_probes += 1
-                pending = queue.popleft()
-                if not queue:
-                    self._discard_send_key(dest_key, exact_key)
-                self._start_transfer(pending, request)
-                return request
-            recv_queue = self._recvs_exact.get(exact_key)
-            if recv_queue is None:
-                recv_queue = self._recvs_exact[exact_key] = deque()
-            recv_queue.append((request, next(self._send_seq)))
+        ranks = self.num_ranks
+        key = (((context_id * ranks + dst_world) * ranks + src_world) << TAG_BITS) | tag
+        queue = self._sends_exact.get(key)
+        if queue:
+            self.match_probes += 1
+            self._start_transfer(*queue.popleft(), request)
             return request
-
-        # Wildcard receive: earliest matching send across this
-        # destination's exact-key queues (each front is that key's oldest).
-        self.wildcard_recvs += 1
-        keys = self._send_keys.get(dest_key)
-        best = None
-        best_key = None
-        if keys:
-            for key in keys:
-                self.match_probes += 1
-                cand_src = (key >> TAG_BITS) % self.num_ranks
-                cand_tag = key & (TAG_LIMIT - 1)
-                if request.matches(cand_src, cand_tag):
-                    front = self._sends_exact[key][0]
-                    if best is None or front.seq < best.seq:
-                        best, best_key = front, key
-        if best is not None:
-            queue = self._sends_exact[best_key]
-            queue.popleft()
-            if not queue:
-                self._discard_send_key(dest_key, best_key)
-            self.wildcard_hits += 1
-            self._start_transfer(best, request)
-            return request
-        self._recvs_wild.setdefault(dest_key, deque()).append(
-            (request, next(self._send_seq))
-        )
+        recv_queue = self._recvs_exact.get(key)
+        if recv_queue is None:
+            recv_queue = self._recvs_exact[key] = deque()
+        recv_queue.append(request)
         return request
 
-    def _discard_send_key(self, dest_key, exact_key) -> None:
-        keys = self._send_keys.get(dest_key)
-        if keys is not None:
-            keys.discard(exact_key)
-            if not keys:
-                del self._send_keys[dest_key]
-
-    def _start_transfer(self, pending: _PendingSend, recv_req: RecvRequest) -> None:
-        record = pending.record
-        placement = self.placement
-        network = self.network
-        if network._matched_fast and record is None and network.obs is None:
-            # Lowered backends deliver straight from the slot record — no
-            # completion Event or callback closure per message (the record's
-            # final push consumes the same sequence number ``done.succeed()``
-            # would, so the schedule is bit-identical).
-            network.transfer_matched(
-                placement[pending.src_world],
-                placement[pending.dst_world],
-                pending,
-                recv_req,
-            )
-            return
+    def _start_transfer(self, request, message, record, recv_req) -> None:
         if record is not None:
             record.t_recv_post = recv_req.posted_at
             record.t_match = self.sim.now
-        done = network.transfer(
-            placement[pending.src_world],
-            placement[pending.dst_world],
-            pending.message.nbytes,
+        placement = self.placement
+        done = self.network.transfer(
+            placement[message.source], placement[request.dest], message.nbytes
         )
 
-        def _deliver(_event, pending=pending, recv_req=recv_req):
-            message = pending.message
-            message.delivered_at = self.sim.now
-            if pending.record is not None:
-                pending.record.t_complete = self.sim.now
+        def _deliver(_event):
+            now = self.sim.now
+            message.delivered_at = now
+            if record is not None:
+                record.t_complete = now
             if recv_req.comm is not None:
                 # Translate world source rank to the receiver's local rank.
                 message.source = recv_req.comm._local_of_world.get(
                     message.source, message.source
                 )
-            if not pending.request.triggered:  # eager sends completed early
-                pending.request.succeed(None)
+            if not request.triggered:  # eager sends completed early
+                request.succeed(None)
             recv_req.succeed(message)
 
         done.callbacks.append(_deliver)
 
-    def _deliver_matched(self, pending: _PendingSend, recv_req: RecvRequest) -> None:
-        """Complete a matched transfer (the fast path's ``_deliver`` body).
+    # -- compiled batches ------------------------------------------------------------
+    def batch(self):
+        """An empty batch for one iteration's sends or receives.
 
-        The two request completions are inlined ``Event.succeed`` calls
-        (same state writes, same one-sequence-number ``_schedule`` at the
-        NORMAL priority), saving two call chains on every message.
+        A compiled :class:`~repro.des.backends.lowered.Batch` on a lowered
+        network with no trace sink attached; otherwise a plain list the
+        Request path fills (the reference oracle).
         """
+        network = self.network
+        if not (network._compiled and self.obs is None and network.obs is None):
+            return []
+        if not self._compiled:
+            if self.sends_posted or self.recvs_posted:
+                raise MPIError(_MIXED)
+            self._compiled = True
+        return Batch(self.sim)
+
+    def post_recv_batch(self, batch: Batch, channels, tag: int) -> None:
+        """Post compiled receives, channels ``(source, key base)``."""
+        _check_tag(tag)
+        count = len(channels)
+        slot = batch.size
+        batch.size += count
+        batch.pending += count
+        batch.payloads.extend([None] * count)
+        self.recvs_posted += count
+        sends = self._sends_exact
+        recvs = self._recvs_exact
+        start = self.network.transfer_batched
+        for _source, key in channels:
+            key |= tag
+            queue = sends.get(key)
+            if queue:
+                self.match_probes += 1
+                send, transfer, payload = queue.popleft()
+                start(transfer, send, payload, batch, slot)
+            else:
+                queue = recvs.get(key)
+                if queue is None:
+                    queue = recvs[key] = deque()
+                queue.append((batch, slot))
+            slot += 1
+
+    def post_send_batch(self, batch: Batch, channels, tag: int, payloads) -> None:
+        """Post compiled sends, channels ``(dest, nbytes, key base,
+        transfer plan)``, one payload each."""
+        _check_tag(tag)
+        count = len(channels)
+        batch.size += count
+        batch.pending += count
+        self.sends_posted += count
         sim = self.sim
-        now = sim._now
-        message = pending.message
-        message.delivered_at = now
-        comm = recv_req.comm
-        if comm is not None:
-            # Translate world source rank to the receiver's local rank.
-            message.source = comm._local_of_world.get(message.source, message.source)
-        request = pending.request
-        queue = sim._queue
-        if request._state == PENDING:  # eager sends completed early
-            request._ok = True
-            request._state = TRIGGERED
-            sim._seq += 1
-            heappush(queue, (now, 1, sim._seq, request))
-        recv_req._ok = True
-        recv_req._value = message
-        recv_req._state = TRIGGERED
-        sim._seq += 1
-        heappush(queue, (now, 1, sim._seq, recv_req))
+        eager = self.eager_threshold
+        sends = self._sends_exact
+        recvs = self._recvs_exact
+        start = self.network.transfer_batched
+        for (_dest, nbytes, key, transfer), payload in zip(channels, payloads, strict=True):
+            if payload is not None and isinstance(payload, np.ndarray):
+                payload = payload.copy()  # as isend: MPI owns the buffer
+            key |= tag
+            queue = recvs.get(key)
+            if queue:
+                self.match_probes += 1
+                recv, slot = queue.popleft()
+                start(transfer, batch, payload, recv, slot)
+                continue
+            queue = sends.get(key)
+            if queue is None:
+                queue = sends[key] = deque()
+            if nbytes <= eager:
+                # Eager: the completion is pushed now, not at delivery.
+                queue.append((None, transfer, payload))
+                sim._seq += 1
+                heappush(sim._queue, (sim._now, 1, sim._seq, batch))
+            else:
+                queue.append((batch, transfer, payload))
 
     # -- diagnostics ----------------------------------------------------------------
     def outstanding_operations(self) -> int:
         """Unmatched sends + receives across all contexts (0 at a clean end)."""
-        return (
-            sum(len(q) for q in self._sends_exact.values())
-            + sum(len(q) for q in self._recvs_exact.values())
-            + sum(len(q) for q in self._recvs_wild.values())
+        return sum(len(q) for q in self._sends_exact.values()) + sum(
+            len(q) for q in self._recvs_exact.values()
         )
 
 
@@ -469,16 +417,14 @@ class Communicator:
         """
         if src is None:
             raise MPIError("isend needs the sending rank (use RankContext.isend)")
-        if tag < 0:
-            raise MPIError(f"tags must be non-negative, got {tag}")
+        _check_tag(tag)
         if nbytes is None:
             nbytes = payload_nbytes(payload)
         if payload is not None and isinstance(payload, np.ndarray):
             # MPI owns the buffer for the duration of the send; emulate by
             # copying so that sender-side mutation cannot race the transfer.
             # Modeled mode passes payload=None with an explicit nbytes and
-            # must never pay for a copy (or the per-call numpy import this
-            # method used to do).
+            # never pays for a copy.
             payload = payload.copy()
         # Rank translation inlined (two method calls per send add up at
         # ~10^5 sends per run).
@@ -492,22 +438,18 @@ class Communicator:
             self.context_id, ranks[src], ranks[dest], tag, payload, int(nbytes)
         )
 
-    def irecv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, dst: Optional[int] = None
-    ) -> RecvRequest:
-        """Post a non-blocking receive at ``dst`` (local rank)."""
+    def irecv(self, source: int, tag: int, dst: Optional[int] = None) -> RecvRequest:
+        """Post a non-blocking receive at ``dst`` (local rank) from local
+        rank ``source`` with ``tag``."""
         if dst is None:
             raise MPIError("irecv needs the receiving rank (use RankContext.irecv)")
+        _check_tag(tag)
         ranks = self.world_ranks
         size = len(ranks)
-        if source == ANY_SOURCE:
-            src_world = ANY_SOURCE
-        elif 0 <= source < size:
-            src_world = ranks[source]
-        else:
+        if not (0 <= source < size):
             raise MPIError(f"local rank {source} out of range (size={size})")
         if not (0 <= dst < size):
             raise MPIError(f"local rank {dst} out of range (size={size})")
-        request = self.world._post_recv(self.context_id, ranks[dst], src_world, tag)
+        request = self.world._post_recv(self.context_id, ranks[dst], ranks[source], tag)
         request.comm = self
         return request

@@ -1,4 +1,4 @@
-"""Message envelope and matching wildcards."""
+"""Message envelope and payload sizing."""
 
 from __future__ import annotations
 
@@ -6,12 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-
-#: Wildcard source for :meth:`Communicator.irecv`.
-ANY_SOURCE = -1
-#: Wildcard tag for :meth:`Communicator.irecv`.
-ANY_TAG = -1
-
 
 def payload_nbytes(payload: Any) -> int:
     """Best-effort size in bytes of a payload (used when nbytes not given)."""

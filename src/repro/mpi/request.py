@@ -2,6 +2,8 @@
 
 A request *is* a DES event, so blocking on it is just ``yield request``.
 ``wait_all`` / ``wait_any`` mirror ``MPI_Waitall`` / ``MPI_Waitany``.
+Requests serve the reference engine, traced runs and ad hoc programs;
+compiled batches on the lowered engine build none.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.des.event import Event, AllOf, AnyOf, PENDING
-from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 
 
 class Request(Event):
@@ -73,10 +74,6 @@ class RecvRequest(Request):
         #: Communicator the receive was posted on; used at delivery time to
         #: translate the message's world source rank into a local rank.
         self.comm = None
-
-    def matches(self, src: int, tag: int) -> bool:
-        """True if an incoming (src, tag) satisfies this request's pattern."""
-        return (self.source in (ANY_SOURCE, src)) and (self.tag in (ANY_TAG, tag))
 
 
 def wait_all(sim, requests: Sequence[Request]) -> AllOf:

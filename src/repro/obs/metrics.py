@@ -468,12 +468,6 @@ def record_pipeline_run(
         world.sends_posted)
     reg.counter("mpi_recvs_total", "point-to-point receives posted").inc(
         world.recvs_posted)
-    reg.counter("mpi_wildcard_recvs_total",
-                "receives posted with a wildcard source or tag").inc(
-        world.wildcard_recvs)
-    reg.counter("mpi_wildcard_hits_total",
-                "matches that involved a wildcard receive").inc(
-        world.wildcard_hits)
 
     # Network.
     network = world.network

@@ -123,8 +123,6 @@ class PerfReport:
     match_probes: int = 0
     sends_posted: int = 0
     recvs_posted: int = 0
-    wildcard_recvs: int = 0
-    wildcard_hits: int = 0
     network_messages: int = 0
     network_bytes: int = 0
     #: Which simulator core ran (``python`` / ``lowered``).
@@ -160,8 +158,6 @@ class PerfReport:
         "match_probes": "mpi_match_probes_total",
         "sends_posted": "mpi_sends_total",
         "recvs_posted": "mpi_recvs_total",
-        "wildcard_recvs": "mpi_wildcard_recvs_total",
-        "wildcard_hits": "mpi_wildcard_hits_total",
         "network_messages": "net_messages_total",
         "network_bytes": "net_bytes_total",
     }

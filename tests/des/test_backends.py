@@ -8,8 +8,9 @@ one detection.  These tests pin that contract three ways:
   stale ``compiled`` requests, SimPoint and CLI validation);
 * :class:`~repro.des.backends.plan.EnginePlan` tables equal the reference
   cost model value-for-value (same IEEE-754 operations, no reassociation);
-* golden Table 7 case 1 and a hypothesis property over randomized traffic
-  patterns, compared repr-exact across every backend in
+* golden Table 7 case 1 and hypothesis properties over randomized traffic
+  patterns — per-message Requests and compiled batches — compared
+  repr-exact across every backend in
   :data:`~repro.des.backends.BACKEND_NAMES` (a constant, so no engine
   can drop out of coverage on some host).
 
@@ -40,6 +41,7 @@ from repro.des import Simulator
 from repro.des.backends import (
     BACKEND_NAMES,
     ENGINE_SCHEMA,
+    TAG_LIMIT,
     EngineBackend,
     EnginePlan,
     LoweredBackend,
@@ -48,11 +50,12 @@ from repro.des.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, MachineError, MPIError, SimulationError
 from repro.exec.cache import CACHE_SCHEMA, cache_key, engine_fingerprint
 from repro.exec.point import SimPoint
+from repro.des.backends.lowered import Batch
 from repro.machine import afrl_paragon
-from repro.mpi import ANY_SOURCE, ANY_TAG, World
+from repro.mpi import Communicator, RankContext, World
 from repro.obs import TraceSink
 
 pytestmark = pytest.mark.backends
@@ -352,8 +355,7 @@ def traffic_patterns(draw):
     return num_ranks, messages
 
 
-def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
-                 traced=False):
+def _run_traffic(backend, num_ranks, messages, contention, traced=False):
     """One random program on one backend; returns its full observable trace.
 
     Message sizes straddle the eager threshold so both transfer protocols
@@ -386,10 +388,7 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
             for dst, tag, seq, nbytes in sends_by_rank.get(ctx.rank, [])
         ]
         for src, tag in expected_by_dst.get(ctx.rank, []):
-            if use_wildcard:
-                msg = yield ctx.irecv(source=ANY_SOURCE, tag=ANY_TAG)
-            else:
-                msg = yield ctx.irecv(source=src, tag=tag)
+            msg = yield ctx.irecv(source=src, tag=tag)
             deliveries.append(
                 (ctx.rank, msg.source, msg.tag, msg.payload, repr(sim.now))
             )
@@ -398,18 +397,109 @@ def _run_traffic(backend, num_ranks, messages, contention, use_wildcard,
 
     world.spawn_all(program)
     sim.run()
-    waits = [
-        repr(world.network.endpoint_wait_time(node))
-        for node in range(num_ranks)
-    ]
+    return {"deliveries": deliveries, **_engine_totals(sim, world, num_ranks)}
+
+
+def _engine_totals(sim, world, num_ranks) -> dict:
+    """Clock, event and sequence counts, wire totals and endpoint waits."""
     return {
-        "deliveries": deliveries,
         "now": repr(sim.now),
         "events": sim.events_processed,
         "seq": sim._seq,
         "messages": world.network.messages_sent,
         "bytes": world.network.bytes_sent,
-        "waits": waits,
+        "waits": [
+            repr(world.network.endpoint_wait_time(node))
+            for node in range(num_ranks)
+        ],
+    }
+
+
+@st.composite
+def batch_programs(draw):
+    """Random iterations of exact-key batches on a permuted communicator.
+
+    Each message is ``(iteration, src, dst, tag)`` in communicator ranks
+    (self-sends included); sizes alternate across the eager threshold.
+    Every rank also draws a delay between posting its receives and its
+    sends, so sends and receives meet in both orders.
+    """
+    num_ranks = draw(st.integers(min_value=2, max_value=5))
+    iterations = draw(st.integers(min_value=1, max_value=3))
+    messages = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=iterations - 1),
+                st.integers(min_value=0, max_value=num_ranks - 1),
+                st.integers(min_value=0, max_value=num_ranks - 1),
+                st.integers(min_value=0, max_value=2),
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    ranks = draw(st.permutations(range(num_ranks)))
+    delays = draw(
+        st.lists(st.sampled_from((0.0, 1e-5, 1e-3)),
+                 min_size=num_ranks, max_size=num_ranks)
+    )
+    return num_ranks, iterations, messages, ranks, delays
+
+
+def _run_batches(backend, program, contention, traced=False):
+    """One random batch program on one engine: deliveries and totals."""
+    num_ranks, iterations, messages, ranks, delays = program
+    sizes = [64 if seq % 2 == 0 else 64 * 1024 for seq in range(len(messages))]
+    engine = get_backend(backend)
+    sim = engine.create_simulator()
+    world = World(
+        sim, afrl_paragon(), num_ranks=num_ranks,
+        contention=contention, backend=engine,
+    )
+    if traced:
+        sink = TraceSink()
+        sink.bind(sim)
+        world.obs = world.network.obs = sink
+    comm = Communicator(world, list(ranks))
+    deliveries = []
+
+    def groups(rank, it, side):
+        """{tag: [(peer, seq), ...]} of one rank's iteration, post order."""
+        out = defaultdict(list)
+        for seq, (m_it, src, dst, tag) in enumerate(messages):
+            if m_it == it and (src if side == "send" else dst) == rank:
+                out[tag].append((dst if side == "send" else src, seq))
+        return sorted(out.items())
+
+    def program_of(ctx):
+        for it in range(iterations):
+            recvs = ctx.batch()
+            for tag, entries in groups(ctx.rank, it, "recv"):
+                channels = ctx.recv_channels([src for src, _ in entries])
+                ctx.post_recvs(recvs, channels, tag)
+            yield ctx.elapse(delays[ctx.rank])
+            sends = ctx.batch()
+            for tag, entries in groups(ctx.rank, it, "send"):
+                channels = ctx.send_channels(
+                    [(dst, sizes[seq]) for dst, seq in entries]
+                )
+                ctx.post_sends(sends, channels, tag, [seq for _, seq in entries])
+            if recvs:
+                yield ctx.wait_batch(recvs)
+            deliveries.append(
+                (ctx.rank, it, ctx.batch_payloads(recvs), repr(sim.now))
+            )
+            if sends:
+                yield ctx.wait_batch(sends)
+            deliveries.append((ctx.rank, it, "sent", repr(sim.now)))
+
+    for world_rank in range(num_ranks):
+        world.spawn(world_rank, program_of, comm=comm)
+    sim.run()
+    assert world.outstanding_operations() == 0
+    return world._compiled, {
+        "deliveries": deliveries,  # in wake-up order
+        **_engine_totals(sim, world, num_ranks),
     }
 
 
@@ -418,11 +508,10 @@ class TestBackendEquivalence:
         traffic_patterns(),
         st.sampled_from(("none", "endpoint", "links")),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_event_sequences_identical_across_backends(
-        self, pattern, contention, use_wildcard, traced
+        self, pattern, contention, traced
     ):
         """Same random program (self-sends included), every backend, traced
         or not: identical deliveries (order, payload, and receipt
@@ -430,14 +519,112 @@ class TestBackendEquivalence:
         schedule-sequence counts, identical wire totals — all equal to the
         untraced reference run."""
         num_ranks, messages = pattern
-        reference = _run_traffic(
-            "python", num_ranks, messages, contention, use_wildcard
-        )
+        reference = _run_traffic("python", num_ranks, messages, contention)
         for backend in BACKEND_NAMES if traced else FAST_BACKENDS:
-            got = _run_traffic(
-                backend, num_ranks, messages, contention, use_wildcard, traced
-            )
+            got = _run_traffic(backend, num_ranks, messages, contention, traced)
             assert got == reference, f"backend {backend} (traced={traced}) diverged"
+
+    @given(batch_programs(), st.sampled_from(("none", "endpoint")))
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_batches_match_the_request_oracle(self, program, contention):
+        """Random exact-key batches through the post/wait interface: the
+        lowered engine's compiled batches (no Request per message), the
+        reference engine's Requests and AllOf, and a traced lowered run
+        agree on every delivery and its time, the clock, the event and
+        ``_seq`` counts, the wire totals and the endpoint waits."""
+        compiled, reference = _run_batches("python", program, contention)
+        assert not compiled
+        compiled, got = _run_batches("lowered", program, contention)
+        assert compiled, "the lowered engine did not compile the batches"
+        assert got == reference
+        compiled, traced = _run_batches("lowered", program, contention, True)
+        assert not compiled
+        assert traced == reference
+
+
+class TestCompiledBatches:
+    """The compiled path keeps the Request path's named errors, and a
+    lowered untraced pipeline run builds no per-message object."""
+
+    @staticmethod
+    def _ctx(num_ranks=2):
+        sim = get_backend("lowered").create_simulator()
+        world = World(sim, afrl_paragon(), num_ranks=num_ranks)
+        ctx = RankContext(world, world.comm, 0)
+        return world, ctx
+
+    def test_tag_at_the_limit_is_an_mpi_error(self):
+        world, ctx = self._ctx()
+        batch = ctx.batch()
+        assert isinstance(batch, Batch)
+        with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
+            ctx.post_sends(batch, ctx.send_channels([(1, 8)]), TAG_LIMIT, [None])
+        with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
+            ctx.post_recvs(batch, ctx.recv_channels([1]), TAG_LIMIT)
+        assert world.outstanding_operations() == 0 and not batch
+
+    @pytest.mark.parametrize("dest", [2, -1])
+    def test_destination_out_of_range_is_an_mpi_error(self, dest):
+        _world, ctx = self._ctx()
+        with pytest.raises(MPIError, match="out of range"):
+            ctx.send_channels([(1, 8), (dest, 8)])
+        with pytest.raises(MPIError, match="out of range"):
+            ctx.recv_channels([dest])
+
+    def test_negative_size_is_a_machine_error(self):
+        _world, ctx = self._ctx()
+        with pytest.raises(MachineError, match="negative message size"):
+            ctx.send_channels([(1, -8)])
+
+    def test_one_world_carries_requests_or_batches(self):
+        world, ctx = self._ctx()
+        ctx.batch()
+        with pytest.raises(MPIError, match="not both"):
+            ctx.isend(None, dest=1, tag=0, nbytes=8)
+        world, ctx = self._ctx()
+        ctx.irecv(source=1, tag=0)
+        with pytest.raises(MPIError, match="not both"):
+            ctx.batch()
+
+    @pytest.mark.parametrize("backend, builds", [("lowered", False), ("python", True)])
+    def test_untraced_lowered_pipeline_builds_no_request(
+        self, backend, builds, monkeypatch
+    ):
+        from repro.mpi.datatypes import Message
+        from repro.mpi.request import RecvRequest, SendRequest
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built")
+
+        for cls in (SendRequest, RecvRequest, Message):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        run = STAPPipeline(STAPParams.small(), CASE3, num_cpis=3, backend=backend).run
+        if builds:
+            # The oracle builds them: proof the patch bites.
+            with pytest.raises(AssertionError, match="Request built"):
+                run()
+        else:
+            assert run().makespan > 0.0
+
+
+class TestReplicationIdentity:
+    def test_two_replicas_bit_identical_across_engines(self):
+        from repro.core.replication import ReplicatedSTAPPipeline
+
+        def run(backend):
+            replicated = ReplicatedSTAPPipeline(
+                STAPParams.small(), CASE3, replicas=2, num_cpis=6,
+                backend=backend,
+            )
+            assert replicated.backend == (backend or "lowered")
+            result = replicated.run()
+            return (
+                result.aggregate_throughput.hex(),
+                result.latency.hex(),
+                repr(result.per_replica),
+            )
+
+        assert run(None) == run("python")
 
 
 # -- cache keys ----------------------------------------------------------------------

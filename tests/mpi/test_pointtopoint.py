@@ -1,4 +1,4 @@
-"""SimMPI point-to-point: matching semantics, wildcards, ordering, timing."""
+"""SimMPI point-to-point: exact-key matching, ordering, timing, batches."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.des import Simulator
 from repro.des.backends import BACKEND_NAMES, TAG_LIMIT, get_backend
 from repro.errors import MPIError
 from repro.machine import afrl_paragon
-from repro.mpi import World, ANY_SOURCE, ANY_TAG
+from repro.mpi import World
 
 
 def run_world(num_ranks, program, contention="none"):
@@ -44,7 +44,7 @@ class TestBasicSendRecv:
                 data[:] = -1  # mutate after posting; receiver must not see it
                 yield req
             else:
-                msg = yield ctx.irecv(source=0)
+                msg = yield ctx.irecv(source=0, tag=0)
                 received["data"] = msg.payload
 
         run_world(2, program)
@@ -58,7 +58,7 @@ class TestBasicSendRecv:
                 yield ctx.isend(None, dest=1, tag=0, nbytes=10_000)
             else:
                 t0 = ctx.wtime()
-                yield ctx.irecv(source=0)
+                yield ctx.irecv(source=0, tag=0)
                 times["elapsed"] = ctx.wtime() - t0
 
         run_world(2, program)
@@ -73,7 +73,7 @@ class TestBasicSendRecv:
                 yield ctx.elapse(1.0)
                 yield ctx.isend("late", dest=1, tag=0)
             else:
-                msg = yield ctx.irecv(source=0)
+                msg = yield ctx.irecv(source=0, tag=0)
                 times["recv_done"] = ctx.wtime()
                 assert msg.payload == "late"
 
@@ -96,33 +96,6 @@ class TestMatching:
 
         run_world(2, program)
         assert order == ["tagB", "tagA"]
-
-    def test_any_source_wildcard(self):
-        got = []
-
-        def program(ctx):
-            if ctx.rank in (0, 1):
-                yield ctx.isend(f"from{ctx.rank}", dest=2, tag=5)
-            else:
-                for _ in range(2):
-                    msg = yield ctx.irecv(source=ANY_SOURCE, tag=5)
-                    got.append((msg.source, msg.payload))
-
-        run_world(3, program)
-        assert sorted(got) == [(0, "from0"), (1, "from1")]
-
-    def test_any_tag_wildcard(self):
-        got = []
-
-        def program(ctx):
-            if ctx.rank == 0:
-                yield ctx.isend("x", dest=1, tag=11)
-            else:
-                msg = yield ctx.irecv(source=0, tag=ANY_TAG)
-                got.append(msg.tag)
-
-        run_world(2, program)
-        assert got == [11]
 
     def test_non_overtaking_same_source_tag(self):
         got = []
@@ -253,9 +226,8 @@ class TestTagBound:
         _sim, world = self._world(backend)
         with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
             world.comm.isend(None, dest=1, tag=TAG_LIMIT, nbytes=8, src=0)
-        for source in (0, ANY_SOURCE):
-            with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
-                world.comm.irecv(source=source, tag=TAG_LIMIT, dst=1)
+        with pytest.raises(MPIError, match=f"below TAG_LIMIT .*{TAG_LIMIT}"):
+            world.comm.irecv(source=0, tag=TAG_LIMIT, dst=1)
         assert world.outstanding_operations() == 0
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
@@ -266,19 +238,19 @@ class TestTagBound:
         def program(ctx):
             if ctx.rank == 0:
                 yield ctx.wait_all([
-                    ctx.isend("exact", dest=1, tag=tag),
-                    ctx.isend("wild", dest=1, tag=tag),
+                    ctx.isend("first", dest=1, tag=tag),
+                    ctx.isend("second", dest=1, tag=tag),
                 ])
             else:
-                got["exact"] = yield ctx.irecv(source=0, tag=tag)
-                got["wild"] = yield ctx.irecv(source=ANY_SOURCE, tag=tag)
+                got["first"] = yield ctx.irecv(source=0, tag=tag)
+                got["second"] = yield ctx.irecv(source=0, tag=tag)
 
         sim, world = self._world(backend)
         world.spawn_all(program)
         sim.run()
-        assert (got["exact"].payload, got["exact"].tag) == ("exact", tag)
-        assert (got["wild"].payload, got["wild"].source, got["wild"].tag) == (
-            "wild", 0, tag
+        assert (got["first"].payload, got["first"].tag) == ("first", tag)
+        assert (got["second"].payload, got["second"].source, got["second"].tag) == (
+            "second", 0, tag
         )
         assert world.outstanding_operations() == 0
 
@@ -291,3 +263,9 @@ class TestTagBound:
         ]
         assert len(reserved) == 8
         assert max(reserved) < TAG_LIMIT
+
+    def test_negative_receive_tag_rejected(self):
+        # -1 used to be the ANY_TAG wildcard; receives now name a tag.
+        _sim, world = self._world("python")
+        with pytest.raises(MPIError, match="non-negative"):
+            world.comm.irecv(source=0, tag=-1, dst=1)

@@ -189,8 +189,6 @@ class TestPipelineWiring:
             ("match_probes", "mpi_match_probes_total"),
             ("sends_posted", "mpi_sends_total"),
             ("recvs_posted", "mpi_recvs_total"),
-            ("wildcard_recvs", "mpi_wildcard_recvs_total"),
-            ("wildcard_hits", "mpi_wildcard_hits_total"),
             ("network_messages", "net_messages_total"),
             ("network_bytes", "net_bytes_total"),
         ):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.des import Simulator
 from repro.machine import afrl_paragon
-from repro.mpi import World, ANY_SOURCE, ANY_TAG
+from repro.mpi import World
 
 
 @st.composite
@@ -29,9 +29,9 @@ def traffic_patterns(draw):
 
 
 class TestDeliveryProperties:
-    @given(traffic_patterns(), st.booleans())
+    @given(traffic_patterns())
     @settings(max_examples=80, deadline=None)
-    def test_every_message_delivered_exactly_once(self, pattern, use_wildcard):
+    def test_every_message_delivered_exactly_once(self, pattern):
         num_ranks, messages = pattern
         sends_by_rank = defaultdict(list)
         expected_by_dst = defaultdict(list)
@@ -48,10 +48,7 @@ class TestDeliveryProperties:
             for dst, tag, seq in sends_by_rank.get(ctx.rank, []):
                 requests.append(ctx.isend(seq, dest=dst, tag=tag, nbytes=64))
             for src, tag, _seq in expected_by_dst.get(ctx.rank, []):
-                if use_wildcard:
-                    msg = yield ctx.irecv(source=ANY_SOURCE, tag=tag)
-                else:
-                    msg = yield ctx.irecv(source=src, tag=tag)
+                msg = yield ctx.irecv(source=src, tag=tag)
                 received[ctx.rank].append((msg.source, msg.tag, msg.payload))
             if requests:
                 yield ctx.wait_all(requests)
@@ -98,73 +95,5 @@ class TestDeliveryProperties:
             per_channel = defaultdict(list)
             for source, tag, seq in msgs:
                 per_channel[(source, tag)].append(seq)
-            for seqs in per_channel.values():
-                assert seqs == sorted(seqs)
-
-    @given(
-        traffic_patterns(),
-        st.lists(st.integers(min_value=0, max_value=3), min_size=5, max_size=5),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_non_overtaking_under_wildcard_interleavings(self, pattern, rank_kinds):
-        """Indexed matching keeps channel order with wildcard receivers.
-
-        Each *rank* receives with one of four patterns — exact,
-        ANY_SOURCE, ANY_TAG, or both wildcards — so wildcard and exact
-        matching interleave freely across the simulation.  (The kind is
-        uniform per rank: mixing kinds within one rank can steal a
-        message an exact receive posted later depends on, which deadlocks
-        legally — that is MPI semantics, not a matcher bug.)  Whatever
-        the interleaving, MPI requires: every message delivered exactly
-        once, each delivery satisfying its request's pattern, and — the
-        non-overtaking guarantee the exact-key queues plus the shared
-        posted-order sequence numbers must preserve — payloads within one
-        (source, tag) channel arriving in posting order.
-        """
-        num_ranks, messages = pattern
-        sends_by_rank = defaultdict(list)
-        expected_by_dst = defaultdict(list)
-        for seq, (src, dst, tag) in enumerate(messages):
-            sends_by_rank[src].append((dst, tag, seq))
-            expected_by_dst[dst].append((src, tag, seq))
-
-        sim = Simulator()
-        world = World(sim, afrl_paragon(), num_ranks=num_ranks, contention="none")
-        received = defaultdict(list)
-
-        def program(ctx):
-            requests = [
-                ctx.isend(seq, dest=dst, tag=tag, nbytes=64)
-                for dst, tag, seq in sends_by_rank.get(ctx.rank, [])
-            ]
-            kind = rank_kinds[ctx.rank]
-            for src, tag, _seq in expected_by_dst.get(ctx.rank, []):
-                want_src = ANY_SOURCE if kind in (1, 3) else src
-                want_tag = ANY_TAG if kind in (2, 3) else tag
-                msg = yield ctx.irecv(source=want_src, tag=want_tag)
-                received[ctx.rank].append((want_src, want_tag, msg))
-            if requests:
-                yield ctx.wait_all(requests)
-
-        world.spawn_all(program)
-        sim.run()
-
-        got = sorted(
-            msg.payload for msgs in received.values() for (_s, _t, msg) in msgs
-        )
-        assert got == sorted(range(len(messages)))
-        assert world.outstanding_operations() == 0
-
-        for dst, msgs in received.items():
-            per_channel = defaultdict(list)
-            for want_src, want_tag, msg in msgs:
-                # Each delivery satisfies the pattern of the request that
-                # received it (source is reported as a communicator rank;
-                # the world communicator's mapping is the identity).
-                if want_src != ANY_SOURCE:
-                    assert msg.source == want_src
-                if want_tag != ANY_TAG:
-                    assert msg.tag == want_tag
-                per_channel[(msg.source, msg.tag)].append(msg.payload)
             for seqs in per_channel.values():
                 assert seqs == sorted(seqs)
